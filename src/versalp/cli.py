@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import versal
@@ -22,18 +23,203 @@ from .power_series import TruncatedSeries
 from .primes import is_prime
 from .steenrod_dual import milnor_generator_degrees
 
-SUBCOMMANDS = (
-    "homology",
-    "homotopy",
-    "basis",
-    "steenrod",
-    "thh",
-    "taq",
-    "equivalences",
-    "hz-compare",
-    "collision",
-    "verify",
-)
+
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's result, formatted by ``render``.
+
+    Every report has the envelope fields and at most one of the optional
+    parts, except collision, which has both a basis and a witness.
+    """
+
+    kind: str
+    prime: int
+    max_degree: int
+    series: tuple[int, ...]
+    assumptions: tuple[str, ...] = ()
+    scalar_name: "str | None" = None  # the single value's CSV name
+    basis: "MonomialBasis | None" = None
+    witness: "versal.CollisionWitness | None" = None
+    verdicts: "tuple[versal.Verdict, ...] | None" = None  # verify
+    homotopy: "versal.HomotopyReport | None" = None
+    cotangent: "TruncatedSeries | None" = None
+
+    @property
+    def failed(self) -> bool:
+        return any(not v.passed for v in self.verdicts or ())
+
+
+def _strings(values) -> list[str]:
+    return [str(c) for c in values]
+
+
+def _sources(witness: versal.CollisionWitness) -> list[str]:
+    return [m.render() for m in witness.source_monomials]
+
+
+def _basis_names(basis: MonomialBasis) -> list[list[str]]:
+    return [[m.render() for m in bucket] for bucket in basis.buckets]
+
+
+def _json(r: Report) -> dict:
+    """The envelope: prime, max_degree, kind, series, then basis, witness and
+    the verify verdicts, assumptions, and last the homotopy verdicts or the
+    cotangent series."""
+    out = {
+        "prime": r.prime,
+        "max_degree": r.max_degree,
+        "kind": r.kind,
+        "series": _strings(r.series),
+    }
+    if r.basis is not None:
+        names = _basis_names(r.basis)
+        out["basis"] = [
+            {"degree": d, "monomials": bucket} for d, bucket in enumerate(names)
+        ]
+    if r.witness is not None:
+        # The sources are basis monomials, so reuse their rendering.
+        sources = [
+            names[m.degree][r.basis.bucket(m.degree).index(m)]
+            for m in r.witness.source_monomials
+        ]
+        out["witness"] = {"sources": sources, "image": r.witness.image}
+    if r.verdicts is not None:
+        out["verdicts"] = [
+            {"name": v.name, "passed": v.passed, "detail": v.detail}
+            for v in r.verdicts
+        ]
+    out["assumptions"] = list(r.assumptions)
+    if r.homotopy is not None:
+        out["verdicts"] = [
+            {"name": "gap", "passed": r.homotopy.gap_verified},
+            {"name": "tensor_identity", "passed": r.homotopy.tensor_identity},
+            {"name": "nonnegativity", "passed": r.homotopy.nonnegative},
+        ]
+    if r.cotangent is not None:
+        out["cotangent_series"] = _strings(r.cotangent.coefficients)
+    return out
+
+
+def _csv_rows(r: Report):
+    """Header and rows of the CSV form."""
+    if r.verdicts is not None:
+        return ("check", "passed"), [
+            (v.name, str(v.passed).lower()) for v in r.verdicts
+        ]
+    if r.witness is not None:
+        rows = [(f"source_{i + 1}", s) for i, s in enumerate(_sources(r.witness))]
+        return ("name", "value"), rows + [("image", r.witness.image)]
+    if r.scalar_name is not None:
+        return ("name", "value"), [(r.scalar_name, r.series[0])]
+    if r.basis is not None:
+        names = enumerate(_basis_names(r.basis))
+        return ("degree", "monomial"), [(d, s) for d, bucket in names for s in bucket]
+    return ("degree", "coefficient"), enumerate(r.series)
+
+
+def _table(r: Report) -> list[str]:
+    if r.verdicts is not None:
+        return [
+            f"{'PASS' if v.passed else 'FAIL'}  {v.name}"
+            + (f"  ({v.detail})" if v.detail else "")
+            for v in r.verdicts
+        ]
+    if r.witness is not None:
+        lines = [f"source  {s}" for s in _sources(r.witness)]
+        return lines + [f"image   {r.witness.image}"]
+    if r.scalar_name is not None:
+        return [str(r.series[0])]
+    if r.basis is not None:
+        return ["degree  monomials"] + [
+            f"{d:>6}  {', '.join(bucket) or '-'}"
+            for d, bucket in enumerate(_basis_names(r.basis))
+        ]
+    lines = ["degree  coefficient"]
+    lines += [f"{d:>6}  {c}" for d, c in enumerate(r.series)]
+    if r.homotopy is not None:
+        first = r.homotopy.first_positive_nonzero_degree
+        lines += [
+            "",
+            f"# gap_verified: {str(r.homotopy.gap_verified).lower()}",
+            f"# first_positive_nonzero_degree: {first if first is not None else '-'}",
+        ]
+    if r.cotangent is not None:
+        cotangent = ",".join(_strings(r.cotangent.coefficients))
+        lines += ["", f"# cotangent_series: {cotangent}"]
+    return lines
+
+
+def render(report: Report, fmt: str) -> str:
+    """``report`` as table, json or csv text; only that form is built."""
+    if fmt == "json":
+        return json.dumps(_json(report), indent=2) + "\n"
+    if fmt == "csv":
+        header, rows = _csv_rows(report)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "\n".join(_table(report)) + "\n"
+
+
+def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries, gens,
+                **parts) -> Report:
+    basis = enumerate_monomials(gens, n)
+    return Report(kind, p, n, series.coefficients, basis=basis, **parts)
+
+
+def _homotopy(p: int, n: int) -> Report:
+    homotopy = versal.homotopy_series(p, n)
+    if not homotopy.gap_verified:
+        raise versal.VerificationError(
+            f"gap check failed for p={p} through degree {n}"
+        )
+    series = homotopy.homotopy_series.coefficients
+    assumptions = (versal.SPLITTING_ASSUMPTION,)
+    return Report("homotopy", p, n, series, assumptions, homotopy=homotopy)
+
+
+def _verify(p: int, n: int) -> Report:
+    verdicts = versal.verification_battery(p, n)
+    series = versal.homology_series(p, n).coefficients
+    assumptions = (versal.SPLITTING_ASSUMPTION,)
+    return Report("verify", p, n, series, assumptions, verdicts=verdicts)
+
+
+# Subcommand name -> report builder taking (prime, truncation degree).
+COMMANDS = {
+    "homology": lambda p, n: Report(
+        "homology", p, n, versal.homology_series(p, n).coefficients
+    ),
+    "homotopy": _homotopy,
+    "basis": lambda p, n: _with_basis(
+        "basis", p, n, versal.homology_series(p, n), enumerate_generators(p, 1, n)
+    ),
+    "steenrod": lambda p, n: _with_basis(
+        "steenrod", p, n, versal.steenrod_series(p, n), milnor_generator_degrees(p, n)
+    ),
+    "thh": lambda p, n: Report(
+        "thh", p, n, versal.thh_homology_series(p, n).coefficients
+    ),
+    "taq": lambda p, n: Report(
+        "taq", p, n, versal.taq_dimensions(p, n).coefficients,
+        (versal.SPLITTING_ASSUMPTION,), cotangent=versal.cotangent_series(p, n),
+    ),
+    "equivalences": lambda p, n: Report(
+        "equivalences", p, n, (versal.equivalence_count(p),),
+        scalar_name="equivalence_count",
+    ),
+    "hz-compare": lambda p, n: Report(
+        "hz-compare", p, n, (versal.hz_quotient_comparison(p, n),),
+        (versal.TOR_ASSUMPTION,), scalar_name="first_difference",
+    ),
+    "collision": lambda p, n: _with_basis(
+        "collision", 2, 4, versal.homology_series(2, 4), enumerate_generators(2, 1, 4),
+        witness=versal.structure_map_collision(),
+    ),
+    "verify": _verify,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +235,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="versalp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         if name == "collision":
             sp.add_argument("--prime", type=int, default=2)
@@ -64,225 +250,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
         sp.add_argument("--output", default=None, help="path, default stdout")
     return parser
-
-
-def _series_strings(series: TruncatedSeries) -> list[str]:
-    return [str(c) for c in series.coefficients]
-
-
-def _basis_payload(basis: MonomialBasis) -> list[dict]:
-    return [
-        {"degree": d, "monomials": [m.render() for m in bucket]}
-        for d, bucket in enumerate(basis.buckets)
-    ]
-
-
-def _series_table(series: TruncatedSeries) -> list[str]:
-    lines = ["degree  coefficient"]
-    for d, c in enumerate(series.coefficients):
-        lines.append(f"{d:>6}  {c}")
-    return lines
-
-
-def _basis_table(basis: MonomialBasis) -> list[str]:
-    lines = ["degree  monomials"]
-    for d, bucket in enumerate(basis.buckets):
-        cell = ", ".join(m.render() for m in bucket) if bucket else "-"
-        lines.append(f"{d:>6}  {cell}")
-    return lines
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _series_csv(series: TruncatedSeries) -> str:
-    return _csv_text(
-        ("degree", "coefficient"),
-        [(d, c) for d, c in enumerate(series.coefficients)],
-    )
-
-
-def _basis_csv(basis: MonomialBasis) -> str:
-    rows = []
-    for d, bucket in enumerate(basis.buckets):
-        for m in bucket:
-            rows.append((d, m.render()))
-    return _csv_text(("degree", "monomial"), rows)
-
-
-def _render(report: dict, fmt: str) -> str:
-    """``report`` carries the json envelope plus private render hints."""
-    if fmt == "json":
-        envelope = {k: v for k, v in report.items() if not k.startswith("_")}
-        return json.dumps(envelope, indent=2) + "\n"
-    if fmt == "csv":
-        return report["_csv"]
-    return "\n".join(report["_table"]) + "\n"
-
-
-def _series_report(kind: str, p: int, n: int, series: TruncatedSeries,
-                   assumptions: list[str]) -> dict:
-    return {
-        "prime": p,
-        "max_degree": n,
-        "kind": kind,
-        "series": _series_strings(series),
-        "assumptions": assumptions,
-        "_table": _series_table(series),
-        "_csv": _series_csv(series),
-    }
-
-
-def _scalar_report(kind: str, p: int, n: int, name: str, value: int,
-                   assumptions: list[str]) -> dict:
-    return {
-        "prime": p,
-        "max_degree": n,
-        "kind": kind,
-        "series": [str(value)],
-        "assumptions": assumptions,
-        "_table": [str(value)],
-        "_csv": _csv_text(("name", "value"), [(name, value)]),
-    }
-
-
-def _basis_report(kind: str, p: int, n: int, series: TruncatedSeries,
-                  basis: MonomialBasis) -> dict:
-    return {
-        "prime": p,
-        "max_degree": n,
-        "kind": kind,
-        "series": _series_strings(series),
-        "basis": _basis_payload(basis),
-        "assumptions": [],
-        "_table": _basis_table(basis),
-        "_csv": _basis_csv(basis),
-    }
-
-
-def _run_command(command: str, p: int, n: int, fmt: str) -> dict:
-    if command == "homology":
-        return _series_report("homology", p, n, versal.homology_series(p, n), [])
-
-    if command == "steenrod":
-        gens = milnor_generator_degrees(p, n)
-        return _basis_report(
-            "steenrod", p, n, versal.steenrod_series(p, n), enumerate_monomials(gens, n)
-        )
-
-    if command == "basis":
-        gens = enumerate_generators(p, 1, n)
-        return _basis_report(
-            "basis", p, n, versal.homology_series(p, n), enumerate_monomials(gens, n)
-        )
-
-    if command == "homotopy":
-        report = versal.homotopy_series(p, n)
-        out = _series_report(
-            "homotopy", p, n, report.homotopy_series, [versal.SPLITTING_ASSUMPTION]
-        )
-        out["verdicts"] = [
-            {"name": "gap", "passed": report.gap_verified},
-            {"name": "tensor_identity", "passed": True},
-            {"name": "nonnegativity", "passed": True},
-        ]
-        first = report.first_positive_nonzero_degree
-        out["_table"] = out["_table"] + [
-            "",
-            f"# gap_verified: {str(report.gap_verified).lower()}",
-            f"# first_positive_nonzero_degree: {first if first is not None else '-'}",
-        ]
-        if not report.gap_verified:
-            raise versal.VerificationError(
-                f"gap check failed for p={p} through degree {n}"
-            )
-        return out
-
-    if command == "thh":
-        return _series_report("thh", p, n, versal.thh_homology_series(p, n), [])
-
-    if command == "taq":
-        taq = versal.taq_dimensions(p, n)
-        shift = versal.cotangent_series(p, n)
-        out = _series_report("taq", p, n, taq, [versal.SPLITTING_ASSUMPTION])
-        out["cotangent_series"] = _series_strings(shift)
-        out["_table"] = out["_table"] + [
-            "",
-            "# cotangent_series: " + ",".join(_series_strings(shift)),
-        ]
-        return out
-
-    if command == "equivalences":
-        count = versal.equivalence_count(p)
-        return _scalar_report("equivalences", p, n, "equivalence_count", count, [])
-
-    if command == "hz-compare":
-        degree = versal.hz_quotient_comparison(p, n)
-        return _scalar_report(
-            "hz-compare", p, n, "first_difference", degree, [versal.TOR_ASSUMPTION]
-        )
-
-    if command == "collision":
-        witness = versal.structure_map_collision()
-        sources = [m.render() for m in witness.source_monomials]
-        basis = enumerate_monomials(enumerate_generators(2, 1, 4), 4)
-        table = [f"source  {s}" for s in sources] + [f"image   {witness.image}"]
-        rows = [(f"source_{i + 1}", s) for i, s in enumerate(sources)]
-        rows.append(("image", witness.image))
-        return {
-            "prime": 2,
-            "max_degree": 4,
-            "kind": "collision",
-            "series": _series_strings(versal.homology_series(2, 4)),
-            "basis": _basis_payload(basis),
-            "witness": {"sources": sources, "image": witness.image},
-            "assumptions": [],
-            "_table": table,
-            "_csv": _csv_text(("name", "value"), rows),
-        }
-
-    if command == "verify":
-        verdicts = versal.verification_battery(p, n)
-        table = []
-        for v in verdicts:
-            status = "PASS" if v.passed else "FAIL"
-            line = f"{status}  {v.name}"
-            if v.detail:
-                line += f"  ({v.detail})"
-            table.append(line)
-        report = {
-            "prime": p,
-            "max_degree": n,
-            "kind": "verify",
-            "series": _series_strings(versal.homology_series(p, n)),
-            "verdicts": [
-                {"name": v.name, "passed": v.passed, "detail": v.detail}
-                for v in verdicts
-            ],
-            "assumptions": [versal.SPLITTING_ASSUMPTION],
-            "_table": table,
-            "_csv": _csv_text(
-                ("check", "passed"),
-                [(v.name, str(v.passed).lower()) for v in verdicts],
-            ),
-        }
-        report["_failed"] = any(not v.passed for v in verdicts)
-        return report
-
-    raise AssertionError(f"unhandled command {command}")
-
-
-def _emit(text: str, path: "str | None") -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -305,13 +272,24 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         )
 
     try:
-        report = _run_command(args.command, args.prime, n, args.format)
+        report = COMMANDS[args.command](args.prime, n)
     except versal.VerificationError as exc:
         print(f"versalp: verification failed: {exc}", file=sys.stderr)
         return 2
 
-    _emit(_render(report, args.format), args.output)
-    return 2 if report.get("_failed") else 0
+    text = render(report, args.format)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            message = f"versalp: error: cannot write {args.output}: {reason}"
+            print(message, file=sys.stderr)
+            return 1
+    return 2 if report.failed else 0
 
 
 if __name__ == "__main__":

@@ -57,39 +57,53 @@ class HomotopyReport:
     homotopy_series: TruncatedSeries
     gap_verified: bool
     first_positive_nonzero_degree: "int | None"
+    nonnegative: bool
+    tensor_identity: bool
+
+
+def _homotopy_report(p: int, max_degree: int) -> HomotopyReport:
+    """The quotient homology / dual Steenrod with every identity's outcome
+    recorded, not raised.
+
+    ``gap_verified`` records whether the coefficients are 1 at degree 0,
+    vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
+    degree is in range.
+    """
+    hom = homology_series(p, max_degree)
+    ste = steenrod_series(p, max_degree)
+    quo = hom.div(ste)
+    c = quo.coefficients
+    top = 4 * (p - 1)
+    gap = c[0] == 1 and not any(c[1:min(top, max_degree + 1)])
+    gap = gap and (max_degree < top or c[top] == 1)
+    first = next((d for d in range(1, max_degree + 1) if c[d]), None)
+    return HomotopyReport(
+        p, max_degree, hom, ste, quo, gap, first, min(c) >= 0, quo.mul(ste) == hom
+    )
+
+
+def _checked(report: HomotopyReport) -> HomotopyReport:
+    """``report``, or a VerificationError naming the identity it fails."""
+    for d, c in enumerate(report.homotopy_series.coefficients):
+        if c < 0:
+            raise VerificationError(
+                f"negative homotopy dimension {c} in degree {d} at p={report.prime}"
+            )
+    if not report.tensor_identity:
+        raise VerificationError(
+            f"tensor identity failed at p={report.prime}: "
+            "homotopy * steenrod != homology"
+        )
+    return report
 
 
 def homotopy_series(p: int, max_degree: int) -> HomotopyReport:
     """Homotopy dimension series as the quotient homology / dual Steenrod.
 
     The quotient is checked for nonnegativity and multiplied back against
-    the denominator; ``gap_verified`` records whether the coefficients are
-    1 at degree 0, vanish strictly between 0 and 4(p-1), and equal 1 at
-    4(p-1) when that degree is in range.
+    the denominator; a failure raises VerificationError.
     """
-    hom = homology_series(p, max_degree)
-    ste = steenrod_series(p, max_degree)
-    quo = hom.div(ste)
-    for d, c in enumerate(quo.coefficients):
-        if c < 0:
-            raise VerificationError(
-                f"negative homotopy dimension {c} in degree {d} at p={p}"
-            )
-    if quo.mul(ste) != hom:
-        raise VerificationError(
-            f"tensor identity failed at p={p}: homotopy * steenrod != homology"
-        )
-    top = 4 * (p - 1)
-    gap = quo.coefficients[0] == 1
-    gap = gap and all(
-        quo.coefficients[d] == 0 for d in range(1, min(top, max_degree + 1))
-    )
-    if max_degree >= top:
-        gap = gap and quo.coefficients[top] == 1
-    first = next(
-        (d for d in range(1, max_degree + 1) if quo.coefficients[d]), None
-    )
-    return HomotopyReport(p, max_degree, hom, ste, quo, gap, first)
+    return _checked(_homotopy_report(p, max_degree))
 
 
 def selfmap_first_nontrivial(p: int) -> int:
@@ -135,15 +149,27 @@ def taq_dimensions(p: int, max_degree: int) -> TruncatedSeries:
     return TruncatedSeries(max_degree, tuple(coeffs))
 
 
+def _suspension(h: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries(h.truncation_degree, (0,) + h.coefficients[:-1])
+
+
 def cotangent_series(p: int, max_degree: int) -> TruncatedSeries:
     """Dimension series of the cotangent complex: the homotopy series
     shifted up one degree (suspension)."""
-    h = homotopy_series(p, max_degree).homotopy_series
-    return TruncatedSeries(max_degree, (0,) + h.coefficients[:max_degree])
+    return _suspension(homotopy_series(p, max_degree).homotopy_series)
 
 
 def tor_series(max_degree: int) -> TruncatedSeries:
     return TruncatedSeries.from_coefficients((1, 1), max_degree)
+
+
+def _first_difference(hom: TruncatedSeries) -> int:
+    n = hom.truncation_degree
+    tor = tor_series(n)
+    for d in range(n + 1):
+        if hom.coefficient(d) != tor.coefficient(d):
+            return d
+    raise ValueError(f"series agree up to degree {n}; bound too small")
 
 
 def hz_quotient_comparison(p: int, max_degree: int) -> int:
@@ -154,12 +180,7 @@ def hz_quotient_comparison(p: int, max_degree: int) -> int:
         raise ValueError(
             f"max degree {max_degree} too small, need at least {2 * p - 2}"
         )
-    hom = homology_series(p, max_degree)
-    tor = tor_series(max_degree)
-    for d in range(max_degree + 1):
-        if hom.coefficient(d) != tor.coefficient(d):
-            return d
-    raise ValueError(f"series agree up to degree {max_degree}; bound too small")
+    return _first_difference(homology_series(p, max_degree))
 
 
 @dataclass(frozen=True)
@@ -193,13 +214,13 @@ def _bordism_image(m: Monomial) -> str:
 def structure_map_collision() -> CollisionWitness:
     """Two distinct degree-4 basis monomials at p = 2 with the same image
     under the structure map to unoriented bordism."""
-    basis = enumerate_monomials(enumerate_generators(2, 1, 4), 4)
-    by_rendering = {m.render(): m for m in basis.bucket(4)}
-    q3a = by_rendering.get("Q^3 a")
-    a4 = by_rendering.get("a^4")
+    bucket = enumerate_monomials(enumerate_generators(2, 1, 4), 4).bucket(4)
+    q3a = next((m for m in bucket if m.exponent("Q^3 a") == 1), None)
+    a4 = next((m for m in bucket if m.exponent("a") == 4), None)
     if q3a is None or a4 is None:
         raise VerificationError(
-            f"degree-4 basis {sorted(by_rendering)} lacks an expected monomial"
+            f"degree-4 basis {sorted(m.render() for m in bucket)} "
+            "lacks an expected monomial"
         )
     image_q3a = _bordism_image(q3a)
     image_a4 = _bordism_image(a4)
@@ -228,37 +249,26 @@ def _verdict_from(name: str, thunk) -> Verdict:
 def verification_battery(p: int, max_degree: int) -> tuple[Verdict, ...]:
     """Every per-prime consistency check, as named verdicts.
 
-    Fixed-scale checks (self-map degree, equivalence count) run at their
-    own canonical scales; the basis/series and tensor-enumeration oracles
-    are capped to keep the battery fast at large degree bounds.
+    The series checks read one homotopy report at ``max_degree``. Fixed-scale
+    checks (self-map degree, equivalence count) run at their own canonical
+    scales; the basis/series and tensor-enumeration oracles are capped to
+    keep the battery fast at large degree bounds.
     """
     require_prime(p)
     if max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
-    checks: list[Verdict] = []
-
-    hom = homology_series(p, max_degree)
-    ste = steenrod_series(p, max_degree)
-    quo = hom.div(ste)
-
-    checks.append(
-        Verdict(
-            "nonnegativity",
-            all(c >= 0 for c in quo.coefficients),
-            f"min coefficient {min(quo.coefficients)}",
-        )
-    )
-    checks.append(
-        Verdict(
-            "tensor_identity",
-            quo.mul(ste) == hom,
-            "homotopy * steenrod == homology",
-        )
-    )
+    report = _homotopy_report(p, max_degree)
+    quo = report.homotopy_series
+    checks = [
+        Verdict("nonnegativity", report.nonnegative,
+                f"min coefficient {min(quo.coefficients)}"),
+        Verdict("tensor_identity", report.tensor_identity,
+                "homotopy * steenrod == homology"),
+    ]
 
     def gap_check():
-        report = homotopy_series(p, max_degree)
-        return report.gap_verified, f"checked through degree {max_degree}"
+        gap = _checked(report).gap_verified
+        return gap, f"checked through degree {max_degree}"
 
     checks.append(_verdict_from("gap", gap_check))
 
@@ -281,8 +291,10 @@ def verification_battery(p: int, max_degree: int) -> tuple[Verdict, ...]:
     checks.append(_verdict_from("selfmap_degree", selfmap_check))
 
     def hz_check():
-        bound = max(max_degree, 2 * p - 2)
-        d = hz_quotient_comparison(p, bound)
+        if max_degree >= 2 * p - 2:
+            d = _first_difference(report.homology_series)
+        else:
+            d = hz_quotient_comparison(p, 2 * p - 2)
         expected = 2 if p == 2 else 2 * p - 2
         return d == expected, f"first difference at degree {d}"
 
@@ -297,8 +309,8 @@ def verification_battery(p: int, max_degree: int) -> tuple[Verdict, ...]:
     checks.append(_verdict_from("taq_dimensions", taq_check))
 
     def cotangent_check():
-        shifted = cotangent_series(p, max_degree)
-        expected = (0,) + quo.coefficients[: max_degree]
+        shifted = _suspension(_checked(report).homotopy_series)
+        expected = (0,) + quo.coefficients[:max_degree]
         return shifted.coefficients == expected, "equals t * homotopy"
 
     checks.append(_verdict_from("cotangent_shift", cotangent_check))

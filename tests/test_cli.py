@@ -1,8 +1,11 @@
+import errno
 import json
+import os
 
 import pytest
 
 from versalp import cli, versal
+from versalp.free_algebra import Monomial
 from versalp.versal import VerificationError
 
 
@@ -225,3 +228,120 @@ def test_thh_series_output(capsys):
     )
     assert code == 0
     assert out == "degree,coefficient\n0,1\n1,1\n2,2\n3,3\n4,5\n"
+
+
+def test_unwritable_output_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "homology", "--prime", "2", "--format", "json", "--output", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    reason = os.strerror(errno.ENOENT)
+    assert err == f"versalp: error: cannot write {target}: {reason}\n"
+    assert not target.exists()
+
+
+def test_homotopy_table_snapshot(capsys):
+    code, out, err = run(capsys, "homotopy", "--prime", "2", "--max-degree", "8")
+    assert code == 0
+    rows = [f"{d:>6}  {c}" for d, c in enumerate([1, 0, 0, 0, 1, 1, 1, 1, 2])]
+    assert out == "\n".join(
+        ["degree  coefficient"]
+        + rows
+        + ["", "# gap_verified: true", "# first_positive_nonzero_degree: 4"]
+    ) + "\n"
+    assert err == ""
+
+
+def test_taq_table_snapshot(capsys):
+    code, out, _ = run(capsys, "taq", "--prime", "2", "--max-degree", "5")
+    assert code == 0
+    assert out == (
+        "degree  coefficient\n"
+        "     0  0\n"
+        "     1  1\n"
+        "     2  0\n"
+        "     3  0\n"
+        "     4  0\n"
+        "     5  0\n"
+        "\n"
+        "# cotangent_series: 0,1,0,0,0,1\n"
+    )
+
+
+# (name, detail) of every verify check at p = 2 with the default degree 4.
+VERIFY_P2 = [
+    ("nonnegativity", "min coefficient 0"),
+    ("tensor_identity", "homotopy * steenrod == homology"),
+    ("gap", "checked through degree 4"),
+    ("h1_dimension", "H_1 dimension 1"),
+    ("equivalence_count", "count 1"),
+    ("selfmap_degree", "degree 3"),
+    ("hz_first_difference", "first difference at degree 2"),
+    ("taq_dimensions", "single 1 in degree 1"),
+    ("cotangent_shift", "equals t * homotopy"),
+    ("basis_series_agreement", "monomial counts match series through degree 4"),
+    ("thh_tensor", "tensor enumeration matches through degree 4"),
+    ("collision_witness", "['Q^3 a', 'a^4'] -> e_1^4"),
+]
+
+
+def test_verify_table_snapshot(capsys):
+    code, out, _ = run(capsys, "verify", "--prime", "2")
+    assert code == 0
+    assert out == "".join(f"PASS  {name}  ({detail})\n" for name, detail in VERIFY_P2)
+
+
+def test_verify_json_snapshot(capsys):
+    code, out, _ = run(capsys, "verify", "--prime", "2", "--format", "json")
+    assert code == 0
+    expected = {
+        "prime": 2,
+        "max_degree": 4,
+        "kind": "verify",
+        "series": ["1", "1", "1", "2", "3"],
+        "verdicts": [
+            {"name": name, "passed": True, "detail": detail}
+            for name, detail in VERIFY_P2
+        ],
+        "assumptions": [versal.SPLITTING_ASSUMPTION],
+    }
+    assert list(json.loads(out)) == list(expected)
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_collision_json_snapshot(capsys):
+    code, out, _ = run(capsys, "collision", "--format", "json")
+    assert code == 0
+    buckets = [["1"], ["a"], ["a^2"], ["a^3", "Q^2 a"], ["a^4", "a\u00b7Q^2 a", "Q^3 a"]]
+    expected = {
+        "prime": 2,
+        "max_degree": 4,
+        "kind": "collision",
+        "series": ["1", "1", "1", "2", "3"],
+        "basis": [
+            {"degree": d, "monomials": bucket} for d, bucket in enumerate(buckets)
+        ],
+        "witness": {"sources": ["Q^3 a", "a^4"], "image": "e_1^4"},
+        "assumptions": [],
+    }
+    assert list(json.loads(out)) == list(expected)
+    assert out == json.dumps(expected, indent=2) + "\n"
+    assert "a\\u00b7Q^2 a" in out
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_each_monomial_rendered_once(monkeypatch, capsys, fmt):
+    counts = {}
+    render = Monomial.render
+
+    def counted(m):
+        counts[m] = counts.get(m, 0) + 1
+        return render(m)
+
+    monkeypatch.setattr(Monomial, "render", counted)
+    for argv in (["basis", "--prime", "2"], ["steenrod", "--prime", "3"], ["collision"]):
+        counts.clear()
+        assert run(capsys, *argv, "--format", fmt)[0] == 0
+        assert counts and max(counts.values()) == 1, argv
