@@ -1,7 +1,13 @@
 """Exact graded dimension counts and additive bases for versal
 characteristic-p commutative ring spectra."""
 
-from .dyer_lashof import AdmissibleWord, enumerate_generators, generator_words
+from .dyer_lashof import (
+    AdmissibleWord,
+    enumerate_generators,
+    generator_degree_counts,
+    generator_series,
+    generator_words,
+)
 from .free_algebra import (
     EXTERIOR,
     POLYNOMIAL,
@@ -12,16 +18,18 @@ from .free_algebra import (
     enumerate_monomials,
     series_of,
 )
-from .power_series import TruncatedSeries, product_over_generators
+from .power_series import TruncatedSeries, product_over_counts, product_over_generators
 from .steenrod_dual import MilnorGenerator, milnor_generator_degrees, milnor_generators
 from .versal import (
     CollisionWitness,
     HomotopyReport,
     Verdict,
     VerificationError,
+    battery_verdicts,
     cotangent_series,
     equivalence_count,
     homology_series,
+    homotopy_report,
     homotopy_series,
     hz_quotient_comparison,
     selfmap_first_nontrivial,
@@ -48,16 +56,21 @@ __all__ = [
     "TruncatedSeries",
     "Verdict",
     "VerificationError",
+    "battery_verdicts",
     "cotangent_series",
     "enumerate_generators",
     "enumerate_monomials",
     "equivalence_count",
+    "generator_degree_counts",
+    "generator_series",
     "generator_words",
     "homology_series",
+    "homotopy_report",
     "homotopy_series",
     "hz_quotient_comparison",
     "milnor_generator_degrees",
     "milnor_generators",
+    "product_over_counts",
     "product_over_generators",
     "selfmap_first_nontrivial",
     "series_of",

@@ -165,7 +165,15 @@ def render(report: Report, fmt: str) -> str:
 
 def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries, gens,
                 **parts) -> Report:
+    """A listing report, after checking that the listing has as many
+    monomials in each degree as the series says: the two are computed
+    independently, from generator counts and from enumerated monomials."""
     basis = enumerate_monomials(gens, n)
+    for d, (listed, expected) in enumerate(zip(basis.dimensions(), series.coefficients)):
+        if listed != expected:
+            raise versal.VerificationError(
+                f"{kind} lists {listed} monomials in degree {d}, the series says {expected}"
+            )
     return Report(kind, p, n, series.coefficients, basis=basis, **parts)
 
 
@@ -181,8 +189,9 @@ def _homotopy(p: int, n: int) -> Report:
 
 
 def _verify(p: int, n: int) -> Report:
-    verdicts = versal.verification_battery(p, n)
-    series = versal.homology_series(p, n).coefficients
+    homotopy = versal.homotopy_report(p, n)
+    verdicts = versal.battery_verdicts(homotopy)
+    series = homotopy.homology_series.coefficients
     assumptions = (versal.SPLITTING_ASSUMPTION,)
     return Report("verify", p, n, series, assumptions, verdicts=verdicts)
 

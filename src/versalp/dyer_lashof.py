@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
+from .power_series import TruncatedSeries, product_over_counts
 from .primes import require_prime
 
 
@@ -138,14 +140,18 @@ def _generator_words_odd(p: int, n: int, budget: int) -> list[tuple]:
     return found
 
 
-def generator_words(p: int, gen_degree: int, max_degree: int) -> tuple[AdmissibleWord, ...]:
-    """Empty word plus every admissible word with excess > gen_degree and
-    total degree <= max_degree, sorted by (total degree, entries)."""
+def _check_arguments(p: int, gen_degree: int, max_degree: int) -> None:
     require_prime(p)
     if gen_degree < 1:
         raise ValueError(f"generator degree must be >= 1, got {gen_degree}")
     if max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
+
+
+def generator_words(p: int, gen_degree: int, max_degree: int) -> tuple[AdmissibleWord, ...]:
+    """Empty word plus every admissible word with excess > gen_degree and
+    total degree <= max_degree, sorted by (total degree, entries)."""
+    _check_arguments(p, gen_degree, max_degree)
     words: list[AdmissibleWord] = []
     if gen_degree <= max_degree:
         words.append(AdmissibleWord(p, ()))
@@ -155,6 +161,105 @@ def generator_words(p: int, gen_degree: int, max_degree: int) -> tuple[Admissibl
         words.extend(AdmissibleWord(p, w) for w in raw)
     words.sort(key=lambda w: (w.degree(gen_degree), w.entries))
     return tuple(words)
+
+
+def _count_words_p2(n: int, budget: int) -> list[int]:
+    """counts[w] is the number of admissible p=2 words of excess > n and
+    word degree w, for w <= budget.
+
+    Counts the left extensions of ``_generator_words_p2``: a word of degree
+    w with head i is i prepended to a qualifying word of degree s = w - i
+    whose head h has i <= 2*h, and i >= s + n + 1.  ``at_least[s][m]`` is
+    the number of qualifying words of degree s with head >= m.
+    """
+    counts = [0] * (budget + 1)
+    at_least: list = [None] * (budget + 1)
+    for w in range(n + 1, budget + 1):
+        heads = [0] * (w + 1)
+        heads[w] = 1  # the one-entry word (w,)
+        # 2*i >= w + n + 1 from the excess, s = w - i >= n + 1 for a tail
+        for i in range((w + n + 2) // 2, w - n):
+            tails = at_least[w - i]
+            m = (i + 1) // 2
+            if m < len(tails):
+                heads[i] = tails[m]
+        at_least[w] = list(accumulate(reversed(heads)))[::-1]
+        counts[w] = at_least[w][0]
+    return counts
+
+
+def _count_words_odd(p: int, n: int, budget: int) -> list[int]:
+    """counts[w] is the number of admissible odd-p words of excess > n and
+    word degree w, for w <= budget.
+
+    Counts the left extensions of ``_generator_words_odd``.  The tail sum T
+    of a word is its word degree plus twice its number of Bocksteins, and
+    its head (eps, s) admits a new head s_0 <= p*s - eps; so the state of a
+    word is (word degree, Bocksteins, p*s - eps), and ``states[w][b][cap]``
+    counts the words in that state.
+    """
+    counts = [0] * (budget + 1)
+    states: list[dict] = [{} for _ in range(budget + 1)]
+
+    def add(w: int, b: int, cap: int, k: int) -> None:
+        caps = states[w].setdefault(b, {})
+        caps[cap] = caps.get(cap, 0) + k
+
+    step = 2 * (p - 1)
+    for eps in (0, 1):
+        s = n // 2 + 1
+        while step * s - eps <= budget:
+            add(step * s - eps, eps, p * s - eps, 1)
+            s += 1
+    for w in range(1, budget + 1):
+        for b, caps in states[w].items():
+            counts[w] += sum(caps.values())
+            s_lo = (w + 2 * b + n) // 2 + 1
+            s_hi = min(max(caps), (budget - w + 1) // step)
+            ordered = sorted(caps.items(), reverse=True)
+            j = admitting = 0
+            for s0 in range(s_hi, s_lo - 1, -1):
+                while j < len(ordered) and ordered[j][0] >= s0:
+                    admitting += ordered[j][1]
+                    j += 1
+                for eps0 in (0, 1):
+                    w0 = w + step * s0 - eps0
+                    if w0 <= budget:
+                        add(w0, b + eps0, p * s0 - eps0, admitting)
+    return counts
+
+
+def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[int]:
+    """counts[d] is the number of words ``generator_words`` lists in total
+    degree d, for d <= max_degree, with the empty word counted at
+    ``gen_degree``; a dynamic program that builds no word.
+
+    >>> generator_degree_counts(2, 1, 6)
+    [0, 1, 0, 1, 1, 1, 1]
+    """
+    _check_arguments(p, gen_degree, max_degree)
+    counts = [0] * (max_degree + 1)
+    if gen_degree <= max_degree:
+        budget = max_degree - gen_degree
+        words = _count_words_p2(gen_degree, budget) if p == 2 else (
+            _count_words_odd(p, gen_degree, budget))
+        counts[gen_degree:] = words
+        counts[gen_degree] += 1
+    return counts
+
+
+def _kind(p: int, degree: int) -> str:
+    """Polynomial at p = 2; at odd primes the parity of the degree decides."""
+    return EXTERIOR if p != 2 and degree % 2 else POLYNOMIAL
+
+
+def generator_series(p: int, gen_degree: int, max_degree: int) -> TruncatedSeries:
+    """Dimension series of the free algebra on ``enumerate_generators(p,
+    gen_degree, max_degree)``, folded from the generator counts per degree."""
+    counts = generator_degree_counts(p, gen_degree, max_degree)
+    return product_over_counts(
+        ((d, _kind(p, d), b) for d, b in enumerate(counts) if b), max_degree
+    )
 
 
 def enumerate_generators(
@@ -169,9 +274,5 @@ def enumerate_generators(
     gens = []
     for w in generator_words(p, gen_degree, max_degree):
         d = w.degree(gen_degree)
-        if p == 2:
-            kind = POLYNOMIAL
-        else:
-            kind = EXTERIOR if d % 2 else POLYNOMIAL
-        gens.append(Generator(w.render(symbol), d, kind))
+        gens.append(Generator(w.render(symbol), d, _kind(p, d)))
     return GeneratorSet(tuple(gens))

@@ -8,7 +8,10 @@ loudly instead of silently re-truncating.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -117,24 +120,76 @@ def product_over_generators(
 
     A polynomial generator of degree d contributes the factor 1/(1 - t^d),
     an exterior one the factor (1 + t^d); generators above the truncation
-    degree contribute 1.  Both factor updates are applied in place in O(N)
-    per generator, which agrees with iterated ``mul`` of the factor series.
+    degree contribute 1.  Generators are tallied by (degree, kind) and the
+    tally is folded by ``product_over_counts``, which agrees with iterated
+    ``mul`` of the factor series.
+    """
+    tally = Counter((g.degree, g.kind) for g in gens)
+    return product_over_counts(
+        ((d, kind, b) for (d, kind), b in tally.items()), truncation_degree
+    )
+
+
+def product_over_counts(
+    counts: Iterable[tuple[int, str, int]], truncation_degree: int
+) -> TruncatedSeries:
+    """Dimension series of the free graded-commutative algebra with
+    ``multiplicity`` generators of each ``(degree, kind, multiplicity)``.
+
+    b polynomial generators of degree d contribute 1/(1 - t^d)^b, whose
+    coefficient of t^(d m) is C(b + m - 1, m); b exterior ones contribute
+    (1 + t^d)^b, with C(b, m).  Each degree is folded in place in whichever
+    way costs fewer multiply-adds for its d and b: b passes of the single
+    factor, or one convolution with the binomial coefficients.
+
+    >>> product_over_counts([(1, "polynomial", 2), (2, "exterior", 1)], 4).coefficients
+    (1, 2, 4, 6, 8)
     """
     n = truncation_degree
     c = [0] * (n + 1)
     c[0] = 1
-    for g in gens:
-        d = g.degree
+    for d, kind, b in counts:
         if d < 1:
             raise ValueError(f"generator degree must be >= 1, got {d}")
+        if b < 0:
+            raise ValueError(f"generator multiplicity must be >= 0, got {b}")
         if d > n:
             continue
-        if g.kind == "polynomial":
-            for i in range(d, n + 1):
-                c[i] += c[i - d]
-        elif g.kind == "exterior":
-            for i in range(n, d - 1, -1):
-                c[i] += c[i - d]
+        if kind == "polynomial":
+            terms = n // d
+        elif kind == "exterior":
+            terms = min(n // d, b)
         else:
-            raise ValueError(f"unknown generator kind {g.kind!r}")
+            raise ValueError(f"unknown generator kind {kind!r}")
+        # A pass is one add per degree d..N; the convolution's m-th term
+        # is one multiply-add per degree d*m..N.
+        passes = b * (n - d + 1)
+        convolution = terms * (n + 1) - d * terms * (terms + 1) // 2
+        if convolution < passes:
+            _convolve_binomial(c, d, kind, b, terms)
+        else:
+            for _ in range(b):
+                _apply_factor(c, d, kind)
     return TruncatedSeries(n, tuple(c))
+
+
+def _apply_factor(c: list[int], d: int, kind: str) -> None:
+    """Multiply ``c`` in place by 1/(1 - t^d) or by (1 + t^d)."""
+    n = len(c) - 1
+    if kind == "polynomial":
+        for i in range(d, n + 1):
+            c[i] += c[i - d]
+    else:
+        for i in range(n, d - 1, -1):
+            c[i] += c[i - d]
+
+
+def _convolve_binomial(c: list[int], d: int, kind: str, b: int, terms: int) -> None:
+    """Multiply ``c`` in place by the first ``terms`` + 1 terms in t^d of
+    (1 - t^d)^-b or (1 + t^d)^b, which are all of them through degree N."""
+    n = len(c) - 1
+    old = c[:]
+    for m in range(1, terms + 1):
+        k = comb(b + m - 1, m) if kind == "polynomial" else comb(b, m)
+        shift = d * m
+        c[shift:] = map(add, c[shift:], map(k.__mul__, old[: n + 1 - shift]))

@@ -11,8 +11,9 @@ integers, and the bordism structure-map collision at p = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .dyer_lashof import enumerate_generators
+from .dyer_lashof import enumerate_generators, generator_series
 from .free_algebra import GeneratorSet, Monomial, enumerate_monomials, series_of
 from .power_series import TruncatedSeries
 from .primes import require_prime
@@ -39,8 +40,13 @@ class VerificationError(Exception):
 
 def homology_series(p: int, max_degree: int) -> TruncatedSeries:
     """Mod-p homology dimension series, free over the Dyer-Lashof algebra
-    on one degree-1 class."""
-    return series_of(enumerate_generators(p, 1, max_degree), max_degree)
+    on one degree-1 class.
+
+    Only the number of free generators in each degree matters, so the
+    admissible words are counted per degree, never built, and the counts
+    are folded into the series (``dyer_lashof.generator_series``).
+    """
+    return generator_series(p, 1, max_degree)
 
 
 def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
@@ -61,7 +67,7 @@ class HomotopyReport:
     tensor_identity: bool
 
 
-def _homotopy_report(p: int, max_degree: int) -> HomotopyReport:
+def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     """The quotient homology / dual Steenrod with every identity's outcome
     recorded, not raised.
 
@@ -103,7 +109,7 @@ def homotopy_series(p: int, max_degree: int) -> HomotopyReport:
     The quotient is checked for nonnegativity and multiplied back against
     the denominator; a failure raises VerificationError.
     """
-    return _checked(_homotopy_report(p, max_degree))
+    return _checked(homotopy_report(p, max_degree))
 
 
 def selfmap_first_nontrivial(p: int) -> int:
@@ -132,10 +138,13 @@ def equivalence_count(p: int) -> int:
 def thh_homology_series(p: int, max_degree: int) -> TruncatedSeries:
     """Mod-p homology series of topological Hochschild homology: the base
     series times the free algebra on one degree-2 class (the unreduced
-    series of the basepoint-adjoined free infinite loop space on S^2)."""
-    loop_factor = series_of(
-        enumerate_generators(p, 2, max_degree, symbol="b"), max_degree
-    )
+    series of the basepoint-adjoined free infinite loop space on S^2).
+
+    Both factors are folded from generator counts per degree; the
+    ``thh_tensor`` check of the battery recounts them from enumerated
+    monomials.
+    """
+    loop_factor = generator_series(p, 2, max_degree)
     return homology_series(p, max_degree).mul(loop_factor)
 
 
@@ -247,17 +256,23 @@ def _verdict_from(name: str, thunk) -> Verdict:
 
 
 def verification_battery(p: int, max_degree: int) -> tuple[Verdict, ...]:
-    """Every per-prime consistency check, as named verdicts.
+    """Every per-prime consistency check, as named verdicts, on the homotopy
+    report at ``max_degree`` (see ``battery_verdicts``)."""
+    require_prime(p)
+    if max_degree < 0:
+        raise ValueError(f"max degree must be >= 0, got {max_degree}")
+    return battery_verdicts(homotopy_report(p, max_degree))
 
-    The series checks read one homotopy report at ``max_degree``. Fixed-scale
+
+def battery_verdicts(report: HomotopyReport) -> tuple[Verdict, ...]:
+    """Every per-prime consistency check of ``report``, as named verdicts.
+
+    The series checks read ``report`` at its truncation degree. Fixed-scale
     checks (self-map degree, equivalence count) run at their own canonical
     scales; the basis/series and tensor-enumeration oracles are capped to
     keep the battery fast at large degree bounds.
     """
-    require_prime(p)
-    if max_degree < 0:
-        raise ValueError(f"max degree must be >= 0, got {max_degree}")
-    report = _homotopy_report(p, max_degree)
+    p, max_degree = report.prime, report.truncation_degree
     quo = report.homotopy_series
     checks = [
         Verdict("nonnegativity", report.nonnegative,
@@ -309,17 +324,20 @@ def verification_battery(p: int, max_degree: int) -> tuple[Verdict, ...]:
     checks.append(_verdict_from("taq_dimensions", taq_check))
 
     def cotangent_check():
-        shifted = _suspension(_checked(report).homotopy_series)
-        expected = (0,) + quo.coefficients[:max_degree]
-        return shifted.coefficients == expected, "equals t * homotopy"
+        # t * homotopy * steenrod == t * homology, read in degrees 0 and N.
+        shifted = _suspension(_checked(report).homotopy_series).coefficients
+        ok = shifted[0] == 0
+        if max_degree >= 1:
+            top = sum(map(mul, reversed(shifted), report.steenrod_series.coefficients))
+            ok = ok and top == report.homology_series.coefficient(max_degree - 1)
+        return ok, "equals t * homotopy"
 
     checks.append(_verdict_from("cotangent_shift", cotangent_check))
 
     def basis_check():
         bound = min(max_degree, 20)
-        gens = enumerate_generators(p, 1, bound)
-        dims = enumerate_monomials(gens, bound).dimensions()
-        ok = dims == list(series_of(gens, bound).coefficients)
+        dims = enumerate_monomials(enumerate_generators(p, 1, bound), bound).dimensions()
+        ok = dims == list(report.homology_series.coefficients[: bound + 1])
         return ok, f"monomial counts match series through degree {bound}"
 
     checks.append(_verdict_from("basis_series_agreement", basis_check))

@@ -158,7 +158,7 @@ def test_verify_csv(capsys):
 
 def test_verify_reports_failure_with_exit_2(monkeypatch, capsys):
     verdicts = (versal.Verdict("gap", False, "forced"),)
-    monkeypatch.setattr(versal, "verification_battery", lambda p, n: verdicts)
+    monkeypatch.setattr(versal, "battery_verdicts", lambda report: verdicts)
     code, out, _ = run(capsys, "verify", "--prime", "2")
     assert code == 2
     assert "FAIL  gap" in out
@@ -345,3 +345,24 @@ def test_each_monomial_rendered_once(monkeypatch, capsys, fmt):
         counts.clear()
         assert run(capsys, *argv, "--format", fmt)[0] == 0
         assert counts and max(counts.values()) == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--prime", "2", "--max-degree", "6"],
+    ["steenrod", "--prime", "3", "--max-degree", "8"],
+    ["collision"],
+])
+def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, argv):
+    name = "steenrod_series" if argv[0] == "steenrod" else "homology_series"
+    series = getattr(versal, name)
+
+    def off_by_one(p, n):
+        c = series(p, n).coefficients
+        return versal.TruncatedSeries(n, c[:-1] + (c[-1] + 1,))
+
+    monkeypatch.setattr(versal, name, off_by_one)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    top = 4 if argv[0] == "collision" else int(argv[-1])
+    assert f"monomials in degree {top}, the series says" in err

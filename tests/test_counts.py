@@ -1,0 +1,68 @@
+"""Series from generator counts: the count dynamic program against word
+enumeration, the fold by multiplicity against naive factor products, and
+the homotopy quotient far above the enumeration oracles' degree caps."""
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from versalp.dyer_lashof import generator_degree_counts, generator_words
+from versalp.power_series import product_over_counts
+from versalp.versal import homotopy_series
+
+from oracles import naive_series
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("gen_degree", [1, 2, 3])
+def test_counts_are_the_degree_histogram_of_the_words(p, gen_degree):
+    for n in sorted({0, gen_degree - 1, gen_degree, 200}):
+        histogram = [0] * (n + 1)
+        for w in generator_words(p, gen_degree, n):
+            histogram[w.degree(gen_degree)] += 1
+        assert generator_degree_counts(p, gen_degree, n) == histogram, (p, gen_degree, n)
+
+
+def test_counts_reject_what_the_words_reject():
+    for args in ((4, 1, 5), (2, 0, 5), (3, 1, -1)):
+        with pytest.raises(ValueError):
+            generator_words(*args)
+        with pytest.raises(ValueError):
+            generator_degree_counts(*args)
+
+
+@st.composite
+def count_profile(draw):
+    """A truncation degree and (degree, kind, multiplicity) triples whose
+    multiplicities fall on both sides of N // degree, so the fold runs both
+    its repeated-factor and its binomial-convolution branch."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    triples = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        degree = draw(st.integers(min_value=1, max_value=n + 3))
+        kind = draw(st.sampled_from(["polynomial", "exterior"]))
+        multiplicity = draw(st.integers(min_value=0, max_value=2 * (n // degree) + 3))
+        triples.append((degree, kind, multiplicity))
+    return n, triples
+
+
+@given(count_profile())
+@example((12, [(1, "polynomial", 20), (2, "polynomial", 1)]))
+@example((12, [(1, "exterior", 9), (5, "exterior", 1), (3, "polynomial", 3)]))
+def test_fold_equals_naive_product_of_expanded_factors(profile):
+    n, triples = profile
+    expanded = [(d, kind) for d, kind, b in triples for _ in range(b)]
+    assert list(product_over_counts(triples, n).coefficients) == naive_series(expanded, n)
+
+
+def test_fold_rejects_bad_triples():
+    for triple in ((0, "polynomial", 1), (2, "free", 1), (2, "exterior", -1)):
+        with pytest.raises(ValueError):
+            product_over_counts([triple], 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_homotopy_quotient_at_degree_800(p):
+    report = homotopy_series(p, 800)  # raises on a negative or non-multiplying quotient
+    top = 4 * (p - 1)
+    assert report.homotopy_series.coefficients[: top + 1] == (1,) + (0,) * (top - 1) + (1,)
+    assert report.gap_verified

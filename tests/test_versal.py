@@ -173,3 +173,12 @@ def test_verification_battery_reports_failures(monkeypatch):
     verdicts = versal.verification_battery(2, 4)
     failed = {v.name for v in verdicts if not v.passed}
     assert "tensor_identity" in failed or "gap" in failed
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+def test_cotangent_shift_fails_when_the_suspension_shifts_nothing(monkeypatch, n):
+    assert next(v for v in verification_battery(3, n) if v.name == "cotangent_shift").passed
+    monkeypatch.setattr(versal, "_suspension", lambda h: h)
+    verdict = next(v for v in verification_battery(3, n) if v.name == "cotangent_shift")
+    assert not verdict.passed
+    assert verdict.detail == "equals t * homotopy"
