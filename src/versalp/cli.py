@@ -3,7 +3,8 @@
 Subcommands: homology, homotopy, basis, steenrod, thh, taq, equivalences,
 hz-compare, collision, verify.  Output formats: table (default), json,
 csv; json and csv are byte-deterministic.  Exit status: 0 on success, 1 on
-usage errors, 2 when a mathematical verification fails.
+usage errors and on listings over the size limit, 2 when a mathematical
+verification fails.
 """
 
 from __future__ import annotations
@@ -163,11 +164,28 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join(_table(report)) + "\n"
 
 
+# Most monomials a listing report may hold; the series gives the exact count
+# before anything is enumerated.
+MAX_LISTED_MONOMIALS = 1_000_000
+
+
+class ListingTooLarge(Exception):
+    """A listing report would hold more than MAX_LISTED_MONOMIALS monomials."""
+
+
 def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries, gens,
                 **parts) -> Report:
     """A listing report, after checking that the listing has as many
     monomials in each degree as the series says: the two are computed
-    independently, from generator counts and from enumerated monomials."""
+    independently, from generator counts and from enumerated monomials.
+    Raises ListingTooLarge, before enumerating, when the series predicts
+    more than MAX_LISTED_MONOMIALS monomials."""
+    predicted = sum(series.coefficients)
+    if predicted > MAX_LISTED_MONOMIALS:
+        raise ListingTooLarge(
+            f"{kind} through degree {n} would list {predicted} monomials,"
+            f" more than the limit of {MAX_LISTED_MONOMIALS}"
+        )
     basis = enumerate_monomials(gens, n)
     for d, (listed, expected) in enumerate(zip(basis.dimensions(), series.coefficients)):
         if listed != expected:
@@ -240,41 +258,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="versalp", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    sub.required = True
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        if name == "collision":
-            sp.add_argument("--prime", type=int, default=2)
-        else:
-            sp.add_argument("--prime", type=int, required=True)
-        sp.add_argument(
-            "--max-degree",
-            type=int,
-            default=None,
-            help="truncation degree, default 4(p-1)",
-        )
-        sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        sp.add_argument("--output", default=None, help="path, default stdout")
-    return parser
-
-
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = _build_parser()
+    parser = _Parser(prog="versalp", description=__doc__.splitlines()[0])
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--prime", type=int, help="required except for collision (p=2)")
+    parser.add_argument("--max-degree", type=int, help="truncation degree, default 4(p-1)")
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    parser.add_argument("--output", help="path, default stdout")
     args = parser.parse_args(argv)
 
+    if args.prime is None:
+        if args.command != "collision":
+            parser.error("the following arguments are required: --prime")
+        args.prime = 2
     if not is_prime(args.prime):
         parser.error(f"--prime must be prime, got {args.prime}")
     if args.command == "collision" and args.prime != 2:
         parser.error("collision is a p=2 report")
-    if args.max_degree is None:
-        n = 4 if args.command == "collision" else 4 * (args.prime - 1)
-    else:
-        if args.max_degree < 0:
-            parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
-        n = 4 if args.command == "collision" else args.max_degree
+    if args.max_degree is not None and args.max_degree < 0:
+        parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
+    # collision ignores the degree: its report is pinned at p = 2, degree 4
+    n = 4 * (args.prime - 1) if args.max_degree is None else args.max_degree
     if args.command == "hz-compare" and n < 2 * args.prime - 2:
         parser.error(
             f"hz-compare needs --max-degree >= {2 * args.prime - 2} at p={args.prime}"
@@ -285,6 +289,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except versal.VerificationError as exc:
         print(f"versalp: verification failed: {exc}", file=sys.stderr)
         return 2
+    except ListingTooLarge as exc:
+        print(f"versalp: error: {exc}", file=sys.stderr)
+        return 1
 
     text = render(report, args.format)
     if args.output is None:

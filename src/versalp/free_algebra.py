@@ -142,27 +142,18 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))
     n = truncation_degree
-    glist = gens.entries
-    k = len(glist)
-    # cheapest degree still available from position i on, for pruning
-    min_rest = [n + 1] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        min_rest[i] = min(min_rest[i + 1], glist[i].degree)
-    buckets: list[list[Monomial]] = [[] for _ in range(n + 1)]
-
-    def descend(i: int, used: int, factors: list[tuple[Generator, int]]) -> None:
-        if i == k or n - used < min_rest[i]:
-            buckets[used].append(Monomial(tuple(factors)))
-            return
-        g = glist[i]
-        top = (n - used) // g.degree
-        if g.kind == EXTERIOR:
-            top = min(top, 1)
-        for e in range(top, 0, -1):
-            factors.append((g, e))
-            descend(i + 1, used + e * g.degree, factors)
-            factors.pop()
-        descend(i + 1, used, factors)
-
-    descend(0, 0, [])
-    return MonomialBasis(gens, n, tuple(tuple(b) for b in buckets))
+    # The fold of series_of over lists of factor tuples: after folding the
+    # generators from position i on, buckets[t] holds their products of
+    # degree t.  Prepending the next generator, highest exponent first,
+    # keeps each bucket in descending lexicographic order.
+    buckets: list[list[tuple]] = [[()]] + [[] for _ in range(n)]
+    for g in reversed(gens.entries):
+        d = g.degree
+        for t in range(n, d - 1, -1):
+            top = 1 if g.kind == EXTERIOR else t // d
+            buckets[t] = [
+                ((g, e),) + f for e in range(top, 0, -1) for f in buckets[t - e * d]
+            ] + buckets[t]
+    return MonomialBasis(
+        gens, n, tuple(tuple(Monomial(f) for f in bucket) for bucket in buckets)
+    )

@@ -2,8 +2,11 @@
 
 Nothing here shares code with the package: multiplication is a full
 convolution of lists, free-algebra series are folds of explicit factor
-series, and word enumeration tries every composition and filters.
+series, word enumeration tries every composition and filters, and monomial
+listing tries every exponent vector and filters.
 """
+
+import itertools
 
 
 def naive_mul(a, b):
@@ -35,6 +38,21 @@ def naive_series(triples, n):
     for degree, kind in triples:
         acc = naive_mul(acc, naive_factor(degree, kind, n))
     return acc
+
+
+def brute_monomials(triples, n):
+    """Exponent vectors over (degree, kind) generators, one list per degree
+    0..n, each sorted in descending lexicographic order."""
+    ranges = [
+        range(2) if kind == "exterior" else range(n // degree + 1)
+        for degree, kind in triples
+    ]
+    buckets = [[] for _ in range(n + 1)]
+    for vector in itertools.product(*ranges):
+        total = sum(e * degree for e, (degree, _) in zip(vector, triples))
+        if total <= n:
+            buckets[total].append(vector)
+    return [sorted(bucket, reverse=True) for bucket in buckets]
 
 
 def _compositions(parts, budget, prefix=(), weight=0):

@@ -1,8 +1,11 @@
+import contextlib
 import errno
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from versalp import cli, versal
 from versalp.free_algebra import Monomial
@@ -366,3 +369,58 @@ def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, arg
     assert out == ""
     top = 4 if argv[0] == "collision" else int(argv[-1])
     assert f"monomials in degree {top}, the series says" in err
+
+
+def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, capsys):
+    def never(gens, n):
+        raise AssertionError("enumerated a listing over the limit")
+
+    monkeypatch.setattr(cli, "enumerate_monomials", never)
+    code, out, err = run(capsys, "basis", "--prime", "2", "--max-degree", "60")
+    assert code == 1
+    assert out == ""
+    assert "17529001 monomials" in err
+    assert str(cli.MAX_LISTED_MONOMIALS) in err
+
+
+# Every token a fuzzed argv may use; the integers stop at 20 and the flags
+# leave out --output, so each run is small and writes no file.
+ARGV_INTEGERS = [str(i) for i in range(-1, 21)]
+ARGV_FORMATS = ["table", "json", "csv"]
+ARGV_TOKENS = [
+    *cli.COMMANDS, "--prime", "--max-degree", "--format", "-h", *ARGV_FORMATS,
+    "--junk", "junk", "", "-", "--", *ARGV_INTEGERS,
+]
+# Half the argvs are shaped like a call (a subcommand, then flags with a
+# value of their type), so that reports run as well as usage errors.
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+    st.builds(
+        lambda command, pairs: [command, *(t for pair in pairs for t in pair)],
+        st.sampled_from(list(cli.COMMANDS)),
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["--prime", "--max-degree"]),
+                    st.sampled_from(ARGV_INTEGERS),
+                ),
+                st.tuples(st.just("--format"), st.sampled_from(ARGV_FORMATS)),
+            ),
+            max_size=3,
+        ),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(ARGVS)
+def test_any_argv_exits_0_1_or_2(argv):
+    with (
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

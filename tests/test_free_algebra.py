@@ -10,7 +10,7 @@ from versalp.free_algebra import (
     series_of,
 )
 
-from oracles import naive_series
+from oracles import brute_monomials, naive_series
 
 
 def poly(label, degree):
@@ -146,3 +146,28 @@ def test_master_property_counts_equal_series(case):
     assert dims == list(series_of(gens, n).coefficients)
     triples = [(g.degree, g.kind) for g in gens]
     assert dims == naive_series(triples, n)
+
+
+@st.composite
+def small_generator_set(draw):
+    """Few generators of degree at most 4, so degrees repeat and kinds mix,
+    and a truncation small enough for the brute-force oracle."""
+    degrees = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=4))
+    gens = [
+        Generator(f"g{i}", d, draw(st.sampled_from(["polynomial", "exterior"])))
+        for i, d in enumerate(degrees)
+    ]
+    return GeneratorSet(tuple(gens)), draw(st.integers(min_value=0, max_value=9))
+
+
+@given(small_generator_set())
+def test_buckets_equal_brute_force_listing_in_order(case):
+    gens, n = case
+    buckets = enumerate_monomials(gens, n).buckets
+    listed = [[tuple(m.exponent(g.label) for g in gens) for m in b] for b in buckets]
+    assert listed == brute_monomials([(g.degree, g.kind) for g in gens], n)
+
+
+def test_many_generators_need_no_recursion():
+    gens = GeneratorSet(tuple(ext(f"e{i}", 1) for i in range(1500)))
+    assert enumerate_monomials(gens, 1).dimensions() == [1, 1500]
