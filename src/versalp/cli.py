@@ -3,8 +3,8 @@
 Subcommands: homology, homotopy, basis, steenrod, thh, taq, equivalences,
 hz-compare, collision, verify.  Output formats: table (default), json,
 csv; json and csv are byte-deterministic.  Exit status: 0 on success, 1 on
-usage errors and on listings over the size limit, 2 when a mathematical
-verification fails.
+usage errors, on degrees over the series limit and on listings over the size
+limit, 2 when a mathematical verification fails.
 """
 
 from __future__ import annotations
@@ -169,6 +169,12 @@ def render(report: Report, fmt: str) -> str:
 MAX_LISTED_MONOMIALS = 1_000_000
 
 
+# Highest degree a series report may be asked for. At p = 2 the slowest one,
+# thh, takes 3.6 s and 65 MB at this degree (2-core x86-64, Python 3.11), and
+# the cost grows three to four times with each doubling of the degree.
+MAX_SERIES_DEGREE = 2000
+
+
 class ListingTooLarge(Exception):
     """A listing report would hold more than MAX_LISTED_MONOMIALS monomials."""
 
@@ -279,6 +285,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
     # collision ignores the degree: its report is pinned at p = 2, degree 4
     n = 4 * (args.prime - 1) if args.max_degree is None else args.max_degree
+    if n > MAX_SERIES_DEGREE and args.command not in ("collision", "equivalences"):
+        parser.error(
+            f"{args.command} through degree {n} is over the limit of {MAX_SERIES_DEGREE}"
+        )
     if args.command == "hz-compare" and n < 2 * args.prime - 2:
         parser.error(
             f"hz-compare needs --max-degree >= {2 * args.prime - 2} at p={args.prime}"

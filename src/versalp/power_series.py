@@ -73,16 +73,36 @@ class TruncatedSeries:
             )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, terms above the truncation degree discarded."""
+        """Cauchy product, terms above the truncation degree discarded.
+
+        Computed by Kronecker substitution: each operand becomes the one
+        integer sum(c_i X^i) at X = 2^(8w), the two integers are multiplied
+        once, and the low N + 1 slots of w bytes are read back.  Every
+        product coefficient is a sum of at most N + 1 terms, so
+        |c| < 2^(bits(max|a|) + bits(max|b|) + bits(N + 1)); one more bit
+        lets each slot hold c + 2^(8w - 1) without carrying into the next.
+        """
         self._check_compatible(other)
         n = self.truncation_degree
-        out = [0] * (n + 1)
-        b = other.coefficients
-        for i, a_i in enumerate(self.coefficients):
-            if a_i:
-                for j in range(n + 1 - i):
-                    out[i + j] += a_i * b[j]
-        return TruncatedSeries(n, tuple(out))
+        a, b = self.coefficients, other.coefficients
+        bits = (
+            max(map(abs, a)).bit_length()
+            + max(map(abs, b)).bit_length()
+            + (n + 1).bit_length()
+            + 1
+        )
+        w = (bits + 7) // 8
+        size = w * (n + 1)
+        # With 2^(8w-1) added to every slot, each low slot holds c + 2^(8w-1),
+        # in [0, 2^(8w)); the mask keeps those N + 1 slots whatever the sign
+        # of the discarded high part.
+        bias = int.from_bytes((bytes(w - 1) + b"\x80") * (n + 1), "little")
+        low = (_pack(a, w) * _pack(b, w) + bias) & ((1 << (8 * size)) - 1)
+        raw = low.to_bytes(size, "little")
+        half = 1 << (8 * w - 1)
+        return TruncatedSeries(n, tuple(
+            int.from_bytes(raw[i:i + w], "little") - half for i in range(0, size, w)
+        ))
 
     __mul__ = mul
 
@@ -113,6 +133,14 @@ class TruncatedSeries:
     __truediv__ = div
 
 
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    """sum(c_i 2^(8 w i)) for signed c_i with |c_i| < 2^(8w): the slots of
+    the positive coefficients less the slots of the negative ones."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(w, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(w, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def product_over_generators(
     gens: Iterable["Generator"], truncation_degree: int
 ) -> TruncatedSeries:
@@ -128,6 +156,39 @@ def product_over_generators(
     return product_over_counts(
         ((d, kind, b) for (d, kind), b in tally.items()), truncation_degree
     )
+
+
+def quotient_over_generators(
+    series: TruncatedSeries, gens: Iterable["Generator"]
+) -> TruncatedSeries:
+    """``series`` divided by ``product_over_generators(gens, N)``, the
+    exact inverse of that product.
+
+    Each generator of degree d <= N is undone by one O(N) pass: a
+    polynomial one by multiplying with (1 - t^d), an exterior one by
+    dividing by (1 + t^d).  Validation is that of the product.
+
+    >>> from versalp.free_algebra import Generator
+    >>> gens = [Generator("x", 1, "polynomial"), Generator("y", 2, "exterior")]
+    >>> f = product_over_generators(gens, 4)
+    >>> quotient_over_generators(f, gens) == TruncatedSeries.one(4)
+    True
+    """
+    n = series.truncation_degree
+    c = list(series.coefficients)
+    for g in gens:
+        d, kind = g.degree, g.kind
+        if d < 1:
+            raise ValueError(f"generator degree must be >= 1, got {d}")
+        if kind == "polynomial":
+            for i in range(n, d - 1, -1):
+                c[i] -= c[i - d]
+        elif kind == "exterior":
+            for i in range(d, n + 1):
+                c[i] -= c[i - d]
+        else:
+            raise ValueError(f"unknown generator kind {kind!r}")
+    return TruncatedSeries(n, tuple(c))
 
 
 def product_over_counts(

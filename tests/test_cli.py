@@ -383,6 +383,39 @@ def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, cap
     assert str(cli.MAX_LISTED_MONOMIALS) in err
 
 
+def test_series_degree_over_the_limit_exits_1_before_computing(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("computed a series over the degree limit")
+
+    for name in ("homology_series", "steenrod_series", "homotopy_report",
+                 "homotopy_series", "thh_homology_series", "cotangent_series"):
+        monkeypatch.setattr(versal, name, never)
+    over = cli.MAX_SERIES_DEGREE + 1
+    for argv, degree in (
+        (["homology", "--prime", "1000003"], 4_000_008),
+        (["thh", "--prime", "2", "--max-degree", str(over)], over),
+        (["verify", "--prime", "7", "--max-degree", str(over)], over),
+        (["basis", "--prime", "3", "--max-degree", str(over)], over),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"versalp: error: {argv[0]} through degree {degree}" in err
+        assert f"limit of {cli.MAX_SERIES_DEGREE}" in err
+
+
+def test_series_degree_at_the_limit_and_degree_free_reports_run(monkeypatch, capsys):
+    monkeypatch.setitem(cli.COMMANDS, "homology", lambda p, n: cli.Report("homology", p, n, (n,)))
+    limit = str(cli.MAX_SERIES_DEGREE)
+    code, out, _ = run(capsys, "homology", "--prime", "2", "--max-degree", limit, "--format", "csv")
+    assert (code, out) == (0, f"degree,coefficient\n0,{limit}\n")
+    # equivalences and collision never compute at the requested degree
+    assert run(capsys, "equivalences", "--prime", "1000003") == (0, "1000002\n", "")
+    assert run(capsys, "collision", "--max-degree", str(10**9))[0] == 0
+
+
 # Every token a fuzzed argv may use; the integers stop at 20 and the flags
 # leave out --output, so each run is small and writes no file.
 ARGV_INTEGERS = [str(i) for i in range(-1, 21)]

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from versalp.dyer_lashof import generator_degree_counts, generator_words
 from versalp.power_series import product_over_counts
-from versalp.versal import homotopy_series
+from versalp.versal import homotopy_report, homotopy_series
 
 from oracles import naive_series
 
@@ -66,3 +66,11 @@ def test_homotopy_quotient_at_degree_800(p):
     top = 4 * (p - 1)
     assert report.homotopy_series.coefficients[: top + 1] == (1,) + (0,) * (top - 1) + (1,)
     assert report.gap_verified
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_by_milnor_factors_is_long_division_at_degree_850(p):
+    report = homotopy_report(p, 850)
+    expected = report.homology_series.div(report.steenrod_series)
+    assert report.homotopy_series == expected
+    assert report.tensor_identity and report.nonnegative

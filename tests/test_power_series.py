@@ -1,8 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from versalp.free_algebra import Generator, GeneratorSet
-from versalp.power_series import TruncatedSeries, product_over_generators
+from versalp.power_series import (
+    TruncatedSeries,
+    product_over_generators,
+    quotient_over_generators,
+)
 
 from oracles import naive_factor, naive_mul, naive_series
 
@@ -177,3 +181,62 @@ def test_product_equals_iterated_mul_in_any_order(profile):
         factor = TruncatedSeries(n, tuple(naive_factor(g.degree, g.kind, n)))
         acc = acc.mul(factor)
     assert fast == acc
+
+
+@st.composite
+def signed_operands(draw):
+    """Two series of one truncation degree, each with its own coefficient
+    size (all zero, or up to 2^300 in magnitude) and either dense or mostly
+    zero."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    pair = []
+    for _ in range(2):
+        size = draw(st.sampled_from([0, 1, 8, 9, 64, 300]))
+        values = st.integers(min_value=-(2**size) + 1, max_value=2**size - 1)
+        if draw(st.booleans()):
+            values = st.one_of(st.just(0), st.just(0), st.just(0), values)
+        coeffs = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+        pair.append(TruncatedSeries(n, tuple(coeffs)))
+    return pair
+
+
+def _flat(n, x, y):
+    """Operands whose degree-N product coefficient is (N + 1)·x·y, the
+    largest magnitude their sizes allow."""
+    return [TruncatedSeries(n, (x,) * (n + 1)), TruncatedSeries(n, (y,) * (n + 1))]
+
+
+# max|a|·max|b|·(N + 1) just below a multiple of 8 bits, where a slot one bit
+# short of the bound overflows: 147 < 2^8, 57,375 < 2^16, 255·(2^300 - 1)^2
+# < 2^608; and just above one: 69,632 > 2^16.
+@given(signed_operands())
+@example(_flat(2, 7, -7))
+@example(_flat(254, -15, -15))
+@example(_flat(254, 15, -15))
+@example(_flat(254, 2**300 - 1, -(2**300 - 1)))
+@example(_flat(255, 17, -16))
+@example(_flat(0, 2**300 - 1, -(2**300 - 1)))
+@example(_flat(5, 0, -(2**300 - 1)))
+@example(_flat(0, 0, 0))
+def test_mul_matches_naive_convolution_on_large_signed_coefficients(fg):
+    f, g = fg
+    expected = naive_mul(list(f.coefficients), list(g.coefficients))
+    assert list(f.mul(g).coefficients) == expected
+    assert list(g.mul(f).coefficients) == expected
+
+
+@given(generator_profile(), st.data())
+def test_quotient_over_generators_is_division_by_their_product(profile, data):
+    n, gens, order = profile
+    num = TruncatedSeries(n, tuple(data.draw(
+        st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1)
+    )))
+    expected = num.div(product_over_generators(GeneratorSet(tuple(gens)), n))
+    assert quotient_over_generators(num, gens) == expected
+    assert quotient_over_generators(num, order) == expected
+
+
+def test_quotient_rejects_what_the_product_rejects():
+    for bad in (_Stub(0, "polynomial"), _Stub(2, "free")):
+        with pytest.raises(ValueError):
+            quotient_over_generators(TruncatedSeries.one(4), [bad])

@@ -1,6 +1,6 @@
 import pytest
 
-from versalp import versal
+from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators
 from versalp.free_algebra import enumerate_monomials
 from versalp.power_series import TruncatedSeries
@@ -83,6 +83,24 @@ def test_homotopy_negative_coefficient_aborts(monkeypatch):
     monkeypatch.setattr(versal, "steenrod_series", inflated)
     with pytest.raises(VerificationError):
         versal.homotopy_series(2, 4)
+
+
+def test_multiply_back_catches_a_wrong_quotient(monkeypatch, capsys):
+    quotient = versal.quotient_over_generators
+
+    def one_too_many_at_the_top(series, gens):
+        c = quotient(series, gens).coefficients
+        return TruncatedSeries(len(c) - 1, c[:-1] + (c[-1] + 1,))
+
+    # Degree 24 at p = 3 is far above the gap, so only the multiply-back can
+    # see the extra class: the quotient stays nonnegative.
+    monkeypatch.setattr(versal, "quotient_over_generators", one_too_many_at_the_top)
+    with pytest.raises(VerificationError, match="tensor identity"):
+        versal.homotopy_series(3, 24)
+    verdicts = {v.name: v.passed for v in versal.verification_battery(3, 24)}
+    assert verdicts["nonnegativity"] and not verdicts["tensor_identity"]
+    assert cli.main(["verify", "--prime", "3", "--max-degree", "24"]) == 2
+    assert "FAIL  tensor_identity" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("p,expected", [(2, 3), (3, 7), (5, 15)])
