@@ -3,8 +3,9 @@
 Subcommands: homology, homotopy, basis, steenrod, thh, taq, equivalences,
 hz-compare, collision, verify.  Output formats: table (default), json,
 csv; json and csv are byte-deterministic.  Exit status: 0 on success, 1 on
-usage errors, on degrees over the series limit and on listings over the size
-limit, 2 when a mathematical verification fails.
+usage errors (including a prime at or above ``primes.PRIME_LIMIT``), on
+degrees over the series limit and on listings over the size limit, 2 when a
+mathematical verification fails.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import versal
 from .dyer_lashof import enumerate_generators
 from .free_algebra import MonomialBasis, enumerate_monomials
 from .power_series import TruncatedSeries
-from .primes import is_prime
+from .primes import PRIME_LIMIT, is_prime
 from .steenrod_dual import milnor_generator_degrees
 
 
@@ -170,9 +171,10 @@ MAX_LISTED_MONOMIALS = 1_000_000
 
 
 # Highest degree a series report may be asked for. At p = 2 the slowest one,
-# thh, takes 3.6 s and 65 MB at this degree (2-core x86-64, Python 3.11), and
-# the cost grows three to four times with each doubling of the degree.
-MAX_SERIES_DEGREE = 2000
+# verify, takes 1.2 s and 20 MB at this degree (2-core x86-64, Python 3.11),
+# and 5.4 s and 29 MB at twice it: the big-integer products that dominate
+# grow about four times with each doubling of the degree.
+MAX_SERIES_DEGREE = 4000
 
 
 class ListingTooLarge(Exception):
@@ -277,6 +279,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.command != "collision":
             parser.error("the following arguments are required: --prime")
         args.prime = 2
+    if args.prime >= PRIME_LIMIT:
+        parser.error(f"--prime must be below {PRIME_LIMIT}, got {args.prime}")
     if not is_prime(args.prime):
         parser.error(f"--prime must be prime, got {args.prime}")
     if args.command == "collision" and args.prime != 2:

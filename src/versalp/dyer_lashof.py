@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import count, product
+from operator import add
+from typing import Sequence
 
 from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
 from .power_series import TruncatedSeries, product_over_counts
@@ -163,89 +165,65 @@ def generator_words(p: int, gen_degree: int, max_degree: int) -> tuple[Admissibl
     return tuple(words)
 
 
-def _count_words_p2(n: int, budget: int) -> list[int]:
-    """counts[w] is the number of admissible p=2 words of excess > n and
-    word degree w, for w <= budget.
+def _minimal_word_degrees(p: int, n: int, k: int) -> list[int]:
+    """Word degree of the least word of length k and excess > n: one at
+    p = 2, one per Bockstein pattern eps_1..eps_k at odd p.
 
-    Counts the left extensions of ``_generator_words_p2``: a word of degree
-    w with head i is i prepended to a qualifying word of degree s = w - i
-    whose head h has i <= 2*h, and i >= s + n + 1.  ``at_least[s][m]`` is
-    the number of qualifying words of degree s with head >= m.
+    At p = 2, with eps_j = 2 i_{j+1} - i_j >= 0, a word of excess e has
+    degree (2^k - 1) e + sum_j (2^k - 2^j) eps_j.  At odd p, with delta_j =
+    p s_{j+1} - eps_{j+1} - s_j >= 0, the excess is 2 s_k - 3 sum_{j>=2}
+    eps_j - 2 sum_j delta_j and the degree rises by 2(p^k - p^j) per unit
+    of delta_j.  The least word has every eps_j (p = 2) or delta_j zero and
+    the least excess > n, of the parity of sum_{j>=2} eps_j at odd p.
     """
-    counts = [0] * (budget + 1)
-    at_least: list = [None] * (budget + 1)
-    for w in range(n + 1, budget + 1):
-        heads = [0] * (w + 1)
-        heads[w] = 1  # the one-entry word (w,)
-        # 2*i >= w + n + 1 from the excess, s = w - i >= n + 1 for a tail
-        for i in range((w + n + 2) // 2, w - n):
-            tails = at_least[w - i]
-            m = (i + 1) // 2
-            if m < len(tails):
-                heads[i] = tails[m]
-        at_least[w] = list(accumulate(reversed(heads)))[::-1]
-        counts[w] = at_least[w][0]
-    return counts
-
-
-def _count_words_odd(p: int, n: int, budget: int) -> list[int]:
-    """counts[w] is the number of admissible odd-p words of excess > n and
-    word degree w, for w <= budget.
-
-    Counts the left extensions of ``_generator_words_odd``.  The tail sum T
-    of a word is its word degree plus twice its number of Bocksteins, and
-    its head (eps, s) admits a new head s_0 <= p*s - eps; so the state of a
-    word is (word degree, Bocksteins, p*s - eps), and ``states[w][b][cap]``
-    counts the words in that state.
-    """
-    counts = [0] * (budget + 1)
-    states: list[dict] = [{} for _ in range(budget + 1)]
-
-    def add(w: int, b: int, cap: int, k: int) -> None:
-        caps = states[w].setdefault(b, {})
-        caps[cap] = caps.get(cap, 0) + k
-
-    step = 2 * (p - 1)
-    for eps in (0, 1):
-        s = n // 2 + 1
-        while step * s - eps <= budget:
-            add(step * s - eps, eps, p * s - eps, 1)
-            s += 1
-    for w in range(1, budget + 1):
-        for b, caps in states[w].items():
-            counts[w] += sum(caps.values())
-            s_lo = (w + 2 * b + n) // 2 + 1
-            s_hi = min(max(caps), (budget - w + 1) // step)
-            ordered = sorted(caps.items(), reverse=True)
-            j = admitting = 0
-            for s0 in range(s_hi, s_lo - 1, -1):
-                while j < len(ordered) and ordered[j][0] >= s0:
-                    admitting += ordered[j][1]
-                    j += 1
-                for eps0 in (0, 1):
-                    w0 = w + step * s0 - eps0
-                    if w0 <= budget:
-                        add(w0, b + eps0, p * s0 - eps0, admitting)
-    return counts
+    if p == 2:
+        return [(2**k - 1) * (n + 1)]
+    degrees = []
+    for eps in product((0, 1), repeat=k):
+        tail = sum(eps[1:])
+        excess = n + 1 + (n + 1 + tail) % 2
+        s = (excess + 3 * tail) // 2
+        degree = 2 * s * (p - 1) - eps[-1]
+        for j in range(k - 2, -1, -1):
+            s = p * s - eps[j + 1]
+            degree += 2 * s * (p - 1) - eps[j]
+        degrees.append(degree)
+    return degrees
 
 
 def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[int]:
     """counts[d] is the number of words ``generator_words`` lists in total
     degree d, for d <= max_degree, with the empty word counted at
-    ``gen_degree``; a dynamic program that builds no word.
+    ``gen_degree``; computed in closed form, building no word.
+
+    The words of one length k have the series sum t^w over the least words'
+    degrees w (``_minimal_word_degrees``), divided by the Dickson-invariant
+    denominator prod_{0<=j<k} (1 - t^(q (p^k - p^j))), q = 1 at p = 2 and 2
+    at odd p (Dickson 1911): one O(N) pass per factor.  The lengths stop at
+    the first with no word in range, as a word's tails qualify too.
 
     >>> generator_degree_counts(2, 1, 6)
     [0, 1, 0, 1, 1, 1, 1]
     """
     _check_arguments(p, gen_degree, max_degree)
     counts = [0] * (max_degree + 1)
-    if gen_degree <= max_degree:
-        budget = max_degree - gen_degree
-        words = _count_words_p2(gen_degree, budget) if p == 2 else (
-            _count_words_odd(p, gen_degree, budget))
-        counts[gen_degree:] = words
-        counts[gen_degree] += 1
-    return counts
+    if gen_degree > max_degree:
+        return counts
+    counts[gen_degree] = 1
+    scale = 1 if p == 2 else 2
+    for k in count(1):
+        starts = [gen_degree + w for w in _minimal_word_degrees(p, gen_degree, k)]
+        starts = [d for d in starts if d <= max_degree]
+        if not starts:
+            return counts
+        series = [0] * (max_degree + 1)
+        for d in starts:
+            series[d] += 1
+        for j in range(k):
+            step = scale * (p**k - p**j)
+            for i in range(min(starts) + step, max_degree + 1):
+                series[i] += series[i - step]
+        counts = list(map(add, counts, series))
 
 
 def _kind(p: int, degree: int) -> str:
@@ -253,10 +231,15 @@ def _kind(p: int, degree: int) -> str:
     return EXTERIOR if p != 2 and degree % 2 else POLYNOMIAL
 
 
-def generator_series(p: int, gen_degree: int, max_degree: int) -> TruncatedSeries:
-    """Dimension series of the free algebra on ``enumerate_generators(p,
-    gen_degree, max_degree)``, folded from the generator counts per degree."""
-    counts = generator_degree_counts(p, gen_degree, max_degree)
+def generator_series(
+    p: int, gen_degrees: Sequence[int], max_degree: int
+) -> TruncatedSeries:
+    """Dimension series of the free algebra on the generators over one class
+    of each degree in ``gen_degrees`` (the union of their
+    ``enumerate_generators`` sets), folded once from the summed generator
+    counts per degree."""
+    profiles = [generator_degree_counts(p, n, max_degree) for n in gen_degrees]
+    counts = [sum(column) for column in zip(*profiles)]
     return product_over_counts(
         ((d, _kind(p, d), b) for d, b in enumerate(counts) if b), max_degree
     )

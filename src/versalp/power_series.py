@@ -8,14 +8,17 @@ loudly instead of silently re-truncating.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb
-from operator import add
+from itertools import repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .free_algebra import Generator
+
+
+class VerificationError(Exception):
+    """A mathematical consistency check failed; no report may be emitted."""
 
 
 @dataclass(frozen=True)
@@ -73,36 +76,13 @@ class TruncatedSeries:
             )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, terms above the truncation degree discarded.
-
-        Computed by Kronecker substitution: each operand becomes the one
-        integer sum(c_i X^i) at X = 2^(8w), the two integers are multiplied
-        once, and the low N + 1 slots of w bytes are read back.  Every
-        product coefficient is a sum of at most N + 1 terms, so
-        |c| < 2^(bits(max|a|) + bits(max|b|) + bits(N + 1)); one more bit
-        lets each slot hold c + 2^(8w - 1) without carrying into the next.
-        """
+        """Cauchy product, terms above the truncation degree discarded;
+        one big-integer product (``_kronecker``)."""
         self._check_compatible(other)
         n = self.truncation_degree
-        a, b = self.coefficients, other.coefficients
-        bits = (
-            max(map(abs, a)).bit_length()
-            + max(map(abs, b)).bit_length()
-            + (n + 1).bit_length()
-            + 1
+        return TruncatedSeries(
+            n, tuple(_kronecker(self.coefficients, other.coefficients, 0, n + 1))
         )
-        w = (bits + 7) // 8
-        size = w * (n + 1)
-        # With 2^(8w-1) added to every slot, each low slot holds c + 2^(8w-1),
-        # in [0, 2^(8w)); the mask keeps those N + 1 slots whatever the sign
-        # of the discarded high part.
-        bias = int.from_bytes((bytes(w - 1) + b"\x80") * (n + 1), "little")
-        low = (_pack(a, w) * _pack(b, w) + bias) & ((1 << (8 * size)) - 1)
-        raw = low.to_bytes(size, "little")
-        half = 1 << (8 * w - 1)
-        return TruncatedSeries(n, tuple(
-            int.from_bytes(raw[i:i + w], "little") - half for i in range(0, size, w)
-        ))
 
     __mul__ = mul
 
@@ -133,12 +113,62 @@ class TruncatedSeries:
     __truediv__ = div
 
 
+def _kronecker(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> list[int]:
+    """Coefficients ``start`` to ``stop`` - 1 of the product of the
+    polynomials with coefficient lists ``a`` and ``b``, by Kronecker
+    substitution.
+
+    Each operand becomes the one integer sum(c_i X^i) at X = 2^(8w), the two
+    integers are multiplied once, and slots of w bytes are read back.  Every
+    product coefficient is a sum of at most min(len(a), len(b)) terms, so
+    |c| < 2^(bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b)))); one
+    more bit lets each slot hold c + 2^(8w - 1) without carrying into the
+    next.
+    """
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    w = (bits + 7) // 8
+    # With 2^(8w-1) added to each of the low ``stop`` slots, each holds
+    # c + 2^(8w-1), in [0, 2^(8w)); the mask keeps those slots whatever the
+    # sign of the discarded high part.
+    low = (_pack(a, w) * _pack(b, w) + _offsets(stop, w)) & ((1 << (8 * w * stop)) - 1)
+    size = w * (stop - start)
+    raw = (low >> (8 * w * start)).to_bytes(size, "little")
+    half = 1 << (8 * w - 1)
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, size, w)]
+
+
+def _offsets(count: int, w: int) -> int:
+    """2^(8w - 1) in each of ``count`` slots of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
+
+
 def _pack(coeffs: Sequence[int], w: int) -> int:
-    """sum(c_i 2^(8 w i)) for signed c_i with |c_i| < 2^(8w): the slots of
-    the positive coefficients less the slots of the negative ones."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(w, "little") for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(w, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum(c_i 2^(8 w i)) for signed c_i with |c_i| < 2^(8w - 1): each slot
+    written as c_i + 2^(8w - 1), which is nonnegative, less the offsets."""
+    half = 1 << (8 * w - 1)
+    shifted = map(add, coeffs, repeat(half))
+    raw = b"".join(map(int.to_bytes, shifted, repeat(w), repeat("little")))
+    return int.from_bytes(raw, "little") - _offsets(len(coeffs), w)
+
+
+def _apply_factor(c: list[int], d: int, kind: str, inverse: bool = False) -> None:
+    """Multiply ``c`` in place by 1/(1 - t^d) or by (1 + t^d), or with
+    ``inverse`` divide by it: one pass ``c[i] += c[i - d]`` (``-=`` for the
+    inverse), bottom up where later terms must see the updated ones."""
+    if d < 1:
+        raise ValueError(f"generator degree must be >= 1, got {d}")
+    if kind not in ("polynomial", "exterior"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    n = len(c) - 1
+    sign = -1 if inverse else 1
+    bottom_up = (kind == "polynomial") != inverse
+    for i in range(d, n + 1) if bottom_up else range(n, d - 1, -1):
+        c[i] += sign * c[i - d]
 
 
 def product_over_generators(
@@ -148,14 +178,14 @@ def product_over_generators(
 
     A polynomial generator of degree d contributes the factor 1/(1 - t^d),
     an exterior one the factor (1 + t^d); generators above the truncation
-    degree contribute 1.  Generators are tallied by (degree, kind) and the
-    tally is folded by ``product_over_counts``, which agrees with iterated
-    ``mul`` of the factor series.
+    degree contribute 1.  Each generator is one O(N) pass, so this suits
+    the few generators of the dual Steenrod algebra; many generators with
+    repeated degrees are cheaper through ``product_over_counts``.
     """
-    tally = Counter((g.degree, g.kind) for g in gens)
-    return product_over_counts(
-        ((d, kind, b) for (d, kind), b in tally.items()), truncation_degree
-    )
+    c = [1] + [0] * truncation_degree
+    for g in gens:
+        _apply_factor(c, g.degree, g.kind)
+    return TruncatedSeries(truncation_degree, tuple(c))
 
 
 def quotient_over_generators(
@@ -174,21 +204,10 @@ def quotient_over_generators(
     >>> quotient_over_generators(f, gens) == TruncatedSeries.one(4)
     True
     """
-    n = series.truncation_degree
     c = list(series.coefficients)
     for g in gens:
-        d, kind = g.degree, g.kind
-        if d < 1:
-            raise ValueError(f"generator degree must be >= 1, got {d}")
-        if kind == "polynomial":
-            for i in range(n, d - 1, -1):
-                c[i] -= c[i - d]
-        elif kind == "exterior":
-            for i in range(d, n + 1):
-                c[i] -= c[i - d]
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-    return TruncatedSeries(n, tuple(c))
+        _apply_factor(c, g.degree, g.kind, inverse=True)
+    return TruncatedSeries(series.truncation_degree, tuple(c))
 
 
 def product_over_counts(
@@ -197,60 +216,58 @@ def product_over_counts(
     """Dimension series of the free graded-commutative algebra with
     ``multiplicity`` generators of each ``(degree, kind, multiplicity)``.
 
-    b polynomial generators of degree d contribute 1/(1 - t^d)^b, whose
-    coefficient of t^(d m) is C(b + m - 1, m); b exterior ones contribute
-    (1 + t^d)^b, with C(b, m).  Each degree is folded in place in whichever
-    way costs fewer multiply-adds for its d and b: b passes of the single
-    factor, or one convolution with the binomial coefficients.
+    b polynomial generators of degree d contribute 1/(1 - t^d)^b, b exterior
+    ones (1 + t^d)^b.  The product a is an Euler transform: its logarithmic
+    derivative gives n a_n = sum_{k=1..n} c_k a_{n-k}, where c_k sums d b
+    over the degrees d dividing k, with the sign (-1)^(k/d + 1) for exterior
+    ones.  That recurrence is solved as an online convolution, divide and
+    conquer over Kronecker products (``_solve``), in O(M(N) log N) for M the
+    cost of one N-term product.  Every a_n must come out of an exact
+    division by n; a remainder raises VerificationError.
 
     >>> product_over_counts([(1, "polynomial", 2), (2, "exterior", 1)], 4).coefficients
     (1, 2, 4, 6, 8)
     """
     n = truncation_degree
     c = [0] * (n + 1)
-    c[0] = 1
     for d, kind, b in counts:
         if d < 1:
             raise ValueError(f"generator degree must be >= 1, got {d}")
         if b < 0:
             raise ValueError(f"generator multiplicity must be >= 0, got {b}")
-        if d > n:
-            continue
         if kind == "polynomial":
-            terms = n // d
+            for k in range(d, n + 1, d):
+                c[k] += d * b
         elif kind == "exterior":
-            terms = min(n // d, b)
+            for k in range(d, n + 1, d):
+                c[k] += d * b if (k // d) % 2 else -d * b
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
-        # A pass is one add per degree d..N; the convolution's m-th term
-        # is one multiply-add per degree d*m..N.
-        passes = b * (n - d + 1)
-        convolution = terms * (n + 1) - d * terms * (terms + 1) // 2
-        if convolution < passes:
-            _convolve_binomial(c, d, kind, b, terms)
-        else:
-            for _ in range(b):
-                _apply_factor(c, d, kind)
-    return TruncatedSeries(n, tuple(c))
+    a = [1] + [0] * n
+    _solve(a, [0] * (n + 1), c, 0, n + 1)
+    return TruncatedSeries(n, tuple(a))
 
 
-def _apply_factor(c: list[int], d: int, kind: str) -> None:
-    """Multiply ``c`` in place by 1/(1 - t^d) or by (1 + t^d)."""
-    n = len(c) - 1
-    if kind == "polynomial":
-        for i in range(d, n + 1):
-            c[i] += c[i - d]
-    else:
-        for i in range(n, d - 1, -1):
-            c[i] += c[i - d]
+# Spans this short are solved term by term; above it the Kronecker product
+# of the halves is cheaper than the quadratic sums it replaces.
+_LEAF = 64
 
 
-def _convolve_binomial(c: list[int], d: int, kind: str, b: int, terms: int) -> None:
-    """Multiply ``c`` in place by the first ``terms`` + 1 terms in t^d of
-    (1 - t^d)^-b or (1 + t^d)^b, which are all of them through degree N."""
-    n = len(c) - 1
-    old = c[:]
-    for m in range(1, terms + 1):
-        k = comb(b + m - 1, m) if kind == "polynomial" else comb(b, m)
-        shift = d * m
-        c[shift:] = map(add, c[shift:], map(k.__mul__, old[: n + 1 - shift]))
+def _solve(a: list[int], acc: list[int], c: list[int], lo: int, hi: int) -> None:
+    """Fill a[lo:hi] from n a_n = sum_k c_k a_{n-k}, given a[:lo] and, in
+    acc[lo:hi], the part of each sum over the terms a_j with j < lo."""
+    if hi - lo <= _LEAF:
+        for m in range(max(lo, 1), hi):
+            total = acc[m] + sum(map(mul, a[lo:m], c[m - lo:0:-1]))
+            a[m], rest = divmod(total, m)
+            if rest:
+                raise VerificationError(
+                    f"Euler transform: {total} in degree {m} is not divisible by {m}"
+                )
+        return
+    mid = (lo + hi) // 2
+    _solve(a, acc, c, lo, mid)
+    # The terms a_j, lo <= j < mid, of the sums for mid <= m < hi.
+    part = _kronecker(a[lo:mid], c[: hi - lo], mid - lo, hi - lo)
+    acc[mid:hi] = map(add, acc[mid:hi], part)
+    _solve(a, acc, c, mid, hi)

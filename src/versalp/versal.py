@@ -15,7 +15,7 @@ from operator import mul
 
 from .dyer_lashof import enumerate_generators, generator_series
 from .free_algebra import GeneratorSet, Monomial, enumerate_monomials, series_of
-from .power_series import TruncatedSeries, quotient_over_generators
+from .power_series import TruncatedSeries, VerificationError, quotient_over_generators
 from .primes import require_prime
 from .steenrod_dual import milnor_generator_degrees
 
@@ -34,10 +34,6 @@ TOR_ASSUMPTION = (
 )
 
 
-class VerificationError(Exception):
-    """A mathematical consistency check failed; no report may be emitted."""
-
-
 def homology_series(p: int, max_degree: int) -> TruncatedSeries:
     """Mod-p homology dimension series, free over the Dyer-Lashof algebra
     on one degree-1 class.
@@ -46,7 +42,7 @@ def homology_series(p: int, max_degree: int) -> TruncatedSeries:
     admissible words are counted per degree, never built, and the counts
     are folded into the series (``dyer_lashof.generator_series``).
     """
-    return generator_series(p, 1, max_degree)
+    return generator_series(p, (1,), max_degree)
 
 
 def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
@@ -147,12 +143,12 @@ def thh_homology_series(p: int, max_degree: int) -> TruncatedSeries:
     series times the free algebra on one degree-2 class (the unreduced
     series of the basepoint-adjoined free infinite loop space on S^2).
 
-    Both factors are folded from generator counts per degree; the
-    ``thh_tensor`` check of the battery recounts them from enumerated
+    The product is the free algebra on the generators over both classes, so
+    their generator counts per degree are summed and folded once; the
+    ``thh_tensor`` check of the battery recounts it from enumerated
     monomials.
     """
-    loop_factor = generator_series(p, 2, max_degree)
-    return homology_series(p, max_degree).mul(loop_factor)
+    return generator_series(p, (1, 2), max_degree)
 
 
 def taq_dimensions(p: int, max_degree: int) -> TruncatedSeries:

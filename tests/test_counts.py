@@ -1,15 +1,17 @@
-"""Series from generator counts: the count dynamic program against word
-enumeration, the fold by multiplicity against naive factor products, and
-the homotopy quotient far above the enumeration oracles' degree caps."""
+"""Series from generator counts: the closed-form counts against word
+enumeration and the counting dynamic program, the Euler-transform fold
+against naive factor products and the factor-by-factor fold, and the
+homotopy quotient far above the enumeration oracles' degree caps."""
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from versalp import cli, power_series, versal
 from versalp.dyer_lashof import generator_degree_counts, generator_words
-from versalp.power_series import product_over_counts
-from versalp.versal import homotopy_report, homotopy_series
+from versalp.power_series import VerificationError, product_over_counts
+from versalp.versal import homology_series, homotopy_report, homotopy_series
 
-from oracles import naive_series
+from oracles import dp_degree_counts, factor_fold, naive_series
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -22,6 +24,12 @@ def test_counts_are_the_degree_histogram_of_the_words(p, gen_degree):
         assert generator_degree_counts(p, gen_degree, n) == histogram, (p, gen_degree, n)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("gen_degree", [1, 2, 3])
+def test_counts_equal_the_dynamic_program_at_degree_1000(p, gen_degree):
+    assert generator_degree_counts(p, gen_degree, 1000) == dp_degree_counts(p, gen_degree, 1000)
+
+
 def test_counts_reject_what_the_words_reject():
     for args in ((4, 1, 5), (2, 0, 5), (3, 1, -1)):
         with pytest.raises(ValueError):
@@ -32,9 +40,8 @@ def test_counts_reject_what_the_words_reject():
 
 @st.composite
 def count_profile(draw):
-    """A truncation degree and (degree, kind, multiplicity) triples whose
-    multiplicities fall on both sides of N // degree, so the fold runs both
-    its repeated-factor and its binomial-convolution branch."""
+    """A truncation degree and (degree, kind, multiplicity) triples: degrees
+    may repeat or exceed N, and multiplicities run from 0 past N // degree."""
     n = draw(st.integers(min_value=0, max_value=20))
     triples = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
@@ -52,6 +59,36 @@ def test_fold_equals_naive_product_of_expanded_factors(profile):
     n, triples = profile
     expanded = [(d, kind) for d, kind, b in triples for _ in range(b)]
     assert list(product_over_counts(triples, n).coefficients) == naive_series(expanded, n)
+
+
+def _profile(p, n):
+    """The homology series' (degree, kind, multiplicity) triples."""
+    kind = lambda d: "exterior" if p != 2 and d % 2 else "polynomial"
+    return [(d, kind(d), b) for d, b in enumerate(generator_degree_counts(p, 1, n)) if b]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fold_equals_the_factor_fold_at_degree_2000(p):
+    triples = _profile(p, 2000)
+    assert list(product_over_counts(triples, 2000).coefficients) == factor_fold(triples, 2000)
+
+
+def test_a_wrong_product_in_the_fold_leaves_a_remainder(monkeypatch, capsys):
+    kronecker = power_series._kronecker
+
+    def off_by_one(a, b, start, stop):
+        part = kronecker(a, b, start, stop)
+        part[-1] += 1
+        return part
+
+    monkeypatch.setattr(power_series, "_kronecker", off_by_one)
+    assert VerificationError is versal.VerificationError
+    with pytest.raises(VerificationError, match="not divisible"):
+        homology_series(2, 200)
+    assert cli.main(["homology", "--prime", "2", "--max-degree", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("versalp: verification failed: Euler transform")
 
 
 def test_fold_rejects_bad_triples():

@@ -1,7 +1,7 @@
 import pytest
 
 from versalp import cli, versal
-from versalp.dyer_lashof import enumerate_generators
+from versalp.dyer_lashof import enumerate_generators, generator_series
 from versalp.free_algebra import enumerate_monomials
 from versalp.power_series import TruncatedSeries
 from versalp.versal import (
@@ -134,6 +134,12 @@ def test_thh_matches_direct_tensor_enumeration():
     )
     dims = enumerate_monomials(merged, 6).dimensions()
     assert dims == list(thh_homology_series(2, 6).coefficients)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_thh_in_one_fold_is_the_product_of_the_two_factors_at_degree_2000(p):
+    loop_factor = generator_series(p, (2,), 2000)
+    assert thh_homology_series(p, 2000) == homology_series(p, 2000).mul(loop_factor)
 
 
 def test_taq_dimensions():
