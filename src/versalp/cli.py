@@ -59,10 +59,6 @@ def _sources(witness: versal.CollisionWitness) -> list[str]:
     return [m.render() for m in witness.source_monomials]
 
 
-def _basis_names(basis: MonomialBasis) -> list[list[str]]:
-    return [[m.render() for m in bucket] for bucket in basis.buckets]
-
-
 def _json(r: Report) -> dict:
     """The envelope: prime, max_degree, kind, series, then basis, witness and
     the verify verdicts, assumptions, and last the homotopy verdicts or the
@@ -74,17 +70,12 @@ def _json(r: Report) -> dict:
         "series": _strings(r.series),
     }
     if r.basis is not None:
-        names = _basis_names(r.basis)
         out["basis"] = [
-            {"degree": d, "monomials": bucket} for d, bucket in enumerate(names)
+            {"degree": d, "monomials": bucket}
+            for d, bucket in enumerate(r.basis.names)
         ]
     if r.witness is not None:
-        # The sources are basis monomials, so reuse their rendering.
-        sources = [
-            names[m.degree][r.basis.bucket(m.degree).index(m)]
-            for m in r.witness.source_monomials
-        ]
-        out["witness"] = {"sources": sources, "image": r.witness.image}
+        out["witness"] = {"sources": _sources(r.witness), "image": r.witness.image}
     if r.verdicts is not None:
         out["verdicts"] = [
             {"name": v.name, "passed": v.passed, "detail": v.detail}
@@ -114,7 +105,7 @@ def _csv_rows(r: Report):
     if r.scalar_name is not None:
         return ("name", "value"), [(r.scalar_name, r.series[0])]
     if r.basis is not None:
-        names = enumerate(_basis_names(r.basis))
+        names = enumerate(r.basis.names)
         return ("degree", "monomial"), [(d, s) for d, bucket in names for s in bucket]
     return ("degree", "coefficient"), enumerate(r.series)
 
@@ -134,7 +125,7 @@ def _table(r: Report) -> list[str]:
     if r.basis is not None:
         return ["degree  monomials"] + [
             f"{d:>6}  {', '.join(bucket) or '-'}"
-            for d, bucket in enumerate(_basis_names(r.basis))
+            for d, bucket in enumerate(r.basis.names)
         ]
     lines = ["degree  coefficient"]
     lines += [f"{d:>6}  {c}" for d, c in enumerate(r.series)]

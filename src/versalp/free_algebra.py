@@ -63,11 +63,13 @@ class GeneratorSet:
         return GeneratorSet(self.entries + other.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """Product of generator powers; factors in (degree, label) order.
 
-    The empty monomial is the algebra unit and renders as "1".
+    The empty monomial is the algebra unit and renders as "1".  Public
+    construction validates the factors; ``enumerate_monomials`` builds them
+    valid and skips the check (``_trusted_monomial``).
     """
 
     factors: tuple[tuple[Generator, int], ...]
@@ -97,25 +99,41 @@ class Monomial:
     def render(self) -> str:
         if not self.factors:
             return "1"
-        parts = []
-        for g, e in self.factors:
-            if e == 1:
-                parts.append(g.label)
-            elif " " in g.label:
-                parts.append(f"({g.label})^{e}")
-            else:
-                parts.append(f"{g.label}^{e}")
-        return "·".join(parts)
+        return "·".join(_piece(g, e) for g, e in self.factors)
 
     def __str__(self) -> str:
         return self.render()
 
 
+def _piece(g: Generator, e: int) -> str:
+    """How ``g`` to the power ``e`` renders inside a monomial."""
+    if e == 1:
+        return g.label
+    if " " in g.label:
+        return f"({g.label})^{e}"
+    return f"{g.label}^{e}"
+
+
+_set_factors = Monomial.factors.__set__
+
+
+def _trusted_monomial(factors: tuple[tuple[Generator, int], ...]) -> Monomial:
+    """A Monomial whose factors are known to be valid, built without the
+    checks of ``__post_init__``."""
+    m = object.__new__(Monomial)
+    _set_factors(m, factors)
+    return m
+
+
 @dataclass(frozen=True)
 class MonomialBasis:
+    """Monomials of degrees 0..N by degree; ``names[d][i]`` is
+    ``buckets[d][i].render()``."""
+
     generators: GeneratorSet
     truncation_degree: int
     buckets: tuple[tuple[Monomial, ...], ...]
+    names: tuple[tuple[str, ...], ...]
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
         return self.buckets[degree]
@@ -145,15 +163,39 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     # The fold of series_of over lists of factor tuples: after folding the
     # generators from position i on, buckets[t] holds their products of
     # degree t.  Prepending the next generator, highest exponent first,
-    # keeps each bucket in descending lexicographic order.
+    # keeps each bucket in descending lexicographic order.  Every tuple
+    # stays in its final bucket, so names[t] is built alongside, each name
+    # one piece joined to the name of the rest of the monomial.
     buckets: list[list[tuple]] = [[()]] + [[] for _ in range(n)]
+    names: list[list[str]] = [["1"]] + [[] for _ in range(n)]
     for g in reversed(gens.entries):
         d = g.degree
+        top = 1 if g.kind == EXTERIOR else n // d
+        # One factor tuple and one name piece per exponent, shared by every
+        # monomial that has it.
+        heads = [((g, e),) for e in range(1, top + 1)]
+        pieces = [_piece(g, e) for e in range(1, top + 1)]
+        joins = [piece + "·" for piece in pieces]
         for t in range(n, d - 1, -1):
-            top = 1 if g.kind == EXTERIOR else t // d
-            buckets[t] = [
-                ((g, e),) + f for e in range(top, 0, -1) for f in buckets[t - e * d]
-            ] + buckets[t]
+            hi = min(top, t // d)
+            new_buckets: list[tuple] = []
+            new_names: list[str] = []
+            if hi * d == t:
+                # The pure power g^hi comes first, and its name is the piece.
+                new_buckets.append(heads[hi - 1])
+                new_names.append(pieces[hi - 1])
+                hi -= 1
+            for e in range(hi, 0, -1):
+                rest = t - e * d
+                if buckets[rest]:
+                    new_buckets += [heads[e - 1] + f for f in buckets[rest]]
+                    new_names += [joins[e - 1] + name for name in names[rest]]
+            if new_buckets:
+                buckets[t] = new_buckets + buckets[t]
+                names[t] = new_names + names[t]
     return MonomialBasis(
-        gens, n, tuple(tuple(Monomial(f) for f in bucket) for bucket in buckets)
+        gens,
+        n,
+        tuple(tuple(map(_trusted_monomial, bucket)) for bucket in buckets),
+        tuple(map(tuple, names)),
     )

@@ -9,6 +9,7 @@ from versalp.free_algebra import (
     enumerate_monomials,
     series_of,
 )
+from versalp.steenrod_dual import milnor_generator_degrees
 
 from oracles import brute_monomials, naive_series
 
@@ -171,3 +172,21 @@ def test_buckets_equal_brute_force_listing_in_order(case):
 def test_many_generators_need_no_recursion():
     gens = GeneratorSet(tuple(ext(f"e{i}", 1) for i in range(1500)))
     assert enumerate_monomials(gens, 1).dimensions() == [1, 1500]
+
+
+@pytest.mark.parametrize("gens, n", [
+    (enumerate_generators(2, 1, 27), 27),
+    (enumerate_generators(3, 1, 58), 58),
+    (milnor_generator_degrees(3, 40), 40),
+    (milnor_generator_degrees(5, 40), 40),
+    # THH: labels with spaces over two symbols
+    (enumerate_generators(3, 1, 10).merged(enumerate_generators(3, 2, 10, symbol="b")), 10),
+])
+def test_names_from_the_recurrence_equal_render(gens, n):
+    basis = enumerate_monomials(gens, n)
+    assert [len(b) for b in basis.names] == basis.dimensions()
+    for bucket, names in zip(basis.buckets, basis.names):
+        for m, name in zip(bucket, names):
+            assert name == m.render()
+            checked = Monomial(m.factors)  # the validating constructor
+            assert m == checked and hash(m) == hash(checked)
