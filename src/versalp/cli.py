@@ -142,10 +142,38 @@ def _table(r: Report) -> list[str]:
     return lines
 
 
+# The C string encoder where the interpreter has one.
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with string keys, lists,
+    tuples and scalars.  Any indent makes the standard library fall back to
+    its pure-Python encoder; here a list of strings is encoded in one pass
+    of the C string encoder, and only mixed lists, dicts and other scalars
+    take the slower path."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_encode_string(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        separator = ",\n" + inner
+        try:
+            body = separator.join(map(_encode_string, value))
+        except TypeError:  # not all strings
+            body = separator.join(_json_text(v, inner) for v in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def render(report: Report, fmt: str) -> str:
     """``report`` as table, json or csv text; only that form is built."""
     if fmt == "json":
-        return json.dumps(_json(report), indent=2) + "\n"
+        return _json_text(_json(report)) + "\n"
     if fmt == "csv":
         header, rows = _csv_rows(report)
         buf = io.StringIO()
@@ -257,35 +285,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: "Sequence[str] | None" = None) -> int:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="versalp", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--prime", type=int, help="required except for collision (p=2)")
     parser.add_argument("--max-degree", type=int, help="truncation degree, default 4(p-1)")
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--output", help="path, default stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once: parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
+def main(argv: "Sequence[str] | None" = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.prime is None:
         if args.command != "collision":
-            parser.error("the following arguments are required: --prime")
+            _PARSER.error("the following arguments are required: --prime")
         args.prime = 2
     if args.prime >= PRIME_LIMIT:
-        parser.error(f"--prime must be below {PRIME_LIMIT}, got {args.prime}")
+        _PARSER.error(f"--prime must be below {PRIME_LIMIT}, got {args.prime}")
     if not is_prime(args.prime):
-        parser.error(f"--prime must be prime, got {args.prime}")
+        _PARSER.error(f"--prime must be prime, got {args.prime}")
     if args.command == "collision" and args.prime != 2:
-        parser.error("collision is a p=2 report")
+        _PARSER.error("collision is a p=2 report")
     if args.max_degree is not None and args.max_degree < 0:
-        parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
+        _PARSER.error(f"--max-degree must be >= 0, got {args.max_degree}")
     # collision ignores the degree: its report is pinned at p = 2, degree 4
     n = 4 * (args.prime - 1) if args.max_degree is None else args.max_degree
     if n > MAX_SERIES_DEGREE and args.command not in ("collision", "equivalences"):
-        parser.error(
+        _PARSER.error(
             f"{args.command} through degree {n} is over the limit of {MAX_SERIES_DEGREE}"
         )
     if args.command == "hz-compare" and n < 2 * args.prime - 2:
-        parser.error(
+        _PARSER.error(
             f"hz-compare needs --max-degree >= {2 * args.prime - 2} at p={args.prime}"
         )
 

@@ -10,6 +10,7 @@ the per-generator factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .power_series import TruncatedSeries, product_over_generators
@@ -68,7 +69,7 @@ class Monomial:
     """Product of generator powers; factors in (degree, label) order.
 
     The empty monomial is the algebra unit and renders as "1".  Public
-    construction validates the factors; ``enumerate_monomials`` builds them
+    construction validates the factors; ``MonomialBasis.buckets`` builds them
     valid and skips the check (``_trusted_monomial``).
     """
 
@@ -127,19 +128,28 @@ def _trusted_monomial(factors: tuple[tuple[Generator, int], ...]) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Monomials of degrees 0..N by degree; ``names[d][i]`` is
-    ``buckets[d][i].render()``."""
+    """Monomials of degrees 0..N by degree.
+
+    ``names[d]`` lists the rendered monomials of degree d and is built
+    eagerly; ``buckets[d]`` holds the same monomials as ``Monomial``s, in the
+    same order (``names[d][i] == buckets[d][i].render()``), and is built by
+    the same recurrence on first read.
+    """
 
     generators: GeneratorSet
     truncation_degree: int
-    buckets: tuple[tuple[Monomial, ...], ...]
     names: tuple[tuple[str, ...], ...]
+
+    @cached_property
+    def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
+        listing = _listing(self.generators, self.truncation_degree, (), _factor, _factor)
+        return tuple(tuple(map(_trusted_monomial, bucket)) for bucket in listing)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
         return self.buckets[degree]
 
     def dimensions(self) -> list[int]:
-        return [len(b) for b in self.buckets]
+        return [len(b) for b in self.names]
 
     def dimension_series(self) -> TruncatedSeries:
         return TruncatedSeries(self.truncation_degree, tuple(self.dimensions()))
@@ -150,52 +160,58 @@ def series_of(gens: GeneratorSet, truncation_degree: int) -> TruncatedSeries:
     return product_over_generators(gens, truncation_degree)
 
 
+def _factor(g: Generator, e: int) -> tuple[tuple[Generator, int], ...]:
+    return ((g, e),)
+
+
+def _joining_piece(g: Generator, e: int) -> str:
+    return _piece(g, e) + "·"
+
+
+def _listing(gens: GeneratorSet, n: int, unit, power, prefix) -> list[list]:
+    """The basis in degrees 0..n, one element per monomial: ``unit`` for the
+    empty monomial, ``power(g, e)`` for g^e alone, and ``prefix(g, e) + rest``
+    for g^e times a monomial ``rest`` in later generators.  Strings (names)
+    and factor tuples both fit.
+
+    The fold of series_of over lists: after folding the generators from
+    position i on, buckets[t] holds their products of degree t.  Prepending
+    the next generator, highest exponent first, keeps each bucket in
+    descending lexicographic order of exponent vectors.
+    """
+    buckets: list[list] = [[unit]] + [[] for _ in range(n)]
+    for g in reversed(gens.entries):
+        d = g.degree
+        top = 1 if g.kind == EXTERIOR else n // d
+        # One element per exponent, shared by every monomial that has it.
+        powers = [power(g, e) for e in range(1, top + 1)]
+        prefixes = [prefix(g, e) for e in range(1, top + 1)]
+        for t in range(n, d - 1, -1):
+            hi = min(top, t // d)
+            new: list = []
+            if hi * d == t:
+                # The pure power g^hi comes first.
+                new.append(powers[hi - 1])
+                hi -= 1
+            for e in range(hi, 0, -1):
+                rest = buckets[t - e * d]
+                if rest:
+                    head = prefixes[e - 1]
+                    new += [head + r for r in rest]
+            if new:
+                buckets[t] = new + buckets[t]
+    return buckets
+
+
 def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialBasis:
     """Complete additive basis in degrees 0..N, bucketed by degree.
 
     Within a degree, monomials appear in descending lexicographic order of
     their exponent vectors over the canonical generator order, so pure
-    powers of the lowest generator come first.
+    powers of the lowest generator come first.  Only the names are built
+    here; the ``Monomial``s wait for the first read of ``buckets``.
     """
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))
-    n = truncation_degree
-    # The fold of series_of over lists of factor tuples: after folding the
-    # generators from position i on, buckets[t] holds their products of
-    # degree t.  Prepending the next generator, highest exponent first,
-    # keeps each bucket in descending lexicographic order.  Every tuple
-    # stays in its final bucket, so names[t] is built alongside, each name
-    # one piece joined to the name of the rest of the monomial.
-    buckets: list[list[tuple]] = [[()]] + [[] for _ in range(n)]
-    names: list[list[str]] = [["1"]] + [[] for _ in range(n)]
-    for g in reversed(gens.entries):
-        d = g.degree
-        top = 1 if g.kind == EXTERIOR else n // d
-        # One factor tuple and one name piece per exponent, shared by every
-        # monomial that has it.
-        heads = [((g, e),) for e in range(1, top + 1)]
-        pieces = [_piece(g, e) for e in range(1, top + 1)]
-        joins = [piece + "·" for piece in pieces]
-        for t in range(n, d - 1, -1):
-            hi = min(top, t // d)
-            new_buckets: list[tuple] = []
-            new_names: list[str] = []
-            if hi * d == t:
-                # The pure power g^hi comes first, and its name is the piece.
-                new_buckets.append(heads[hi - 1])
-                new_names.append(pieces[hi - 1])
-                hi -= 1
-            for e in range(hi, 0, -1):
-                rest = t - e * d
-                if buckets[rest]:
-                    new_buckets += [heads[e - 1] + f for f in buckets[rest]]
-                    new_names += [joins[e - 1] + name for name in names[rest]]
-            if new_buckets:
-                buckets[t] = new_buckets + buckets[t]
-                names[t] = new_names + names[t]
-    return MonomialBasis(
-        gens,
-        n,
-        tuple(tuple(map(_trusted_monomial, bucket)) for bucket in buckets),
-        tuple(map(tuple, names)),
-    )
+    names = _listing(gens, truncation_degree, "1", _piece, _joining_piece)
+    return MonomialBasis(gens, truncation_degree, tuple(map(tuple, names)))

@@ -5,10 +5,11 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from versalp import cli, versal
-from versalp.free_algebra import Monomial
+from versalp import cli, free_algebra, versal
+from versalp.dyer_lashof import enumerate_generators
+from versalp.free_algebra import Monomial, enumerate_monomials
 from versalp.versal import VerificationError
 
 
@@ -351,6 +352,53 @@ def test_each_monomial_rendered_once(monkeypatch, capsys, fmt):
         assert max(counts.values(), default=0) <= 1, argv
     sources = versal.structure_map_collision().source_monomials
     assert set(counts) == set(sources) and len(sources) == 2
+
+
+def test_listing_reports_build_no_monomial(monkeypatch, capsys):
+    def never(factors):
+        raise AssertionError("built a Monomial for a report that prints names")
+
+    monkeypatch.setattr(free_algebra, "_trusted_monomial", never)
+    for argv in (["basis", "--prime", "3", "--max-degree", "40"],
+                 ["steenrod", "--prime", "5", "--max-degree", "60"]):
+        for fmt in ("table", "json", "csv"):
+            assert run(capsys, *argv, "--format", fmt)[0] == 0, (argv, fmt)
+    code, out, _ = run(capsys, "verify", "--prime", "3")
+    assert code == 0 and "FAIL" not in out
+
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "collision")
+    assert (code, out) == (0, "source  Q^3 a\nsource  a^4\nimage   e_1^4\n")
+    basis = enumerate_monomials(enumerate_generators(3, 1, 12), 12)
+    assert all(type(m) is Monomial for bucket in basis.buckets for m in bucket)
+    assert [len(b) for b in basis.buckets] == basis.dimensions()
+
+
+# JSON values of the kinds reports hold, and the characters the encoder must
+# escape: full-Unicode text, integers past 64 bits, bools and None, empty
+# containers, lists of strings only and lists of mixed values.
+JSON_SCALARS = st.one_of(
+    st.text(), st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(st.text()),
+        st.lists(st.text()).map(tuple),
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@example({"degree": 2, "monomials": []})
+@example(cli._json(cli.COMMANDS["collision"](2, 4)))  # the collision envelope
+@example(["\u00b7", '"', "\\", "\x00\x1f\n", "\U0001f600", [], {}, 2**64 + 1, True, None])
+def test_json_text_equals_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("argv", [
