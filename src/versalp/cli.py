@@ -11,16 +11,14 @@ mathematical verification fails.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import versal
 from .dyer_lashof import enumerate_generators
-from .free_algebra import MonomialBasis, enumerate_monomials
+from .free_algebra import GeneratorSet, MonomialBasis, enumerate_monomials
 from .power_series import TruncatedSeries
 from .primes import PRIME_LIMIT, is_prime
 from .steenrod_dual import milnor_generator_degrees
@@ -93,21 +91,34 @@ def _json(r: Report) -> dict:
     return out
 
 
-def _csv_rows(r: Report):
-    """Header and rows of the CSV form."""
+def _csv(r: Report) -> list[str]:
+    """Lines of the CSV form, header first.
+
+    No field ever holds a comma, a double quote, a carriage return or a
+    newline: fields are integers, fixed names, ``true``/``false``, monomial
+    and word names (``Q^``, ``bQ^``, letters, digits, spaces, ``·``, ``^``,
+    ``_`` and parentheses) and ``e_1^4``.  So the minimal quoting of the
+    standard ``csv`` writer would never apply, and joining the fields with
+    commas gives its bytes.
+    """
     if r.verdicts is not None:
-        return ("check", "passed"), [
-            (v.name, str(v.passed).lower()) for v in r.verdicts
+        return ["check,passed"] + [
+            f"{v.name},{str(v.passed).lower()}" for v in r.verdicts
         ]
     if r.witness is not None:
-        rows = [(f"source_{i + 1}", s) for i, s in enumerate(_sources(r.witness))]
-        return ("name", "value"), rows + [("image", r.witness.image)]
+        lines = [f"source_{i},{s}" for i, s in enumerate(_sources(r.witness), 1)]
+        return ["name,value", *lines, f"image,{r.witness.image}"]
     if r.scalar_name is not None:
-        return ("name", "value"), [(r.scalar_name, r.series[0])]
+        return ["name,value", f"{r.scalar_name},{r.series[0]}"]
     if r.basis is not None:
-        names = enumerate(r.basis.names)
-        return ("degree", "monomial"), [(d, s) for d, bucket in names for s in bucket]
-    return ("degree", "coefficient"), enumerate(r.series)
+        lines = ["degree,monomial"]
+        for d, bucket in enumerate(r.basis.names):
+            if bucket:
+                # One string per degree: every row of the bucket at once.
+                prefix = f"{d},"
+                lines.append(prefix + ("\n" + prefix).join(bucket))
+        return lines
+    return ["degree,coefficient"] + [f"{d},{c}" for d, c in enumerate(r.series)]
 
 
 def _table(r: Report) -> list[str]:
@@ -175,12 +186,7 @@ def render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return _json_text(_json(report)) + "\n"
     if fmt == "csv":
-        header, rows = _csv_rows(report)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
+        return "\n".join(_csv(report)) + "\n"
     return "\n".join(_table(report)) + "\n"
 
 
@@ -200,20 +206,21 @@ class ListingTooLarge(Exception):
     """A listing report would hold more than MAX_LISTED_MONOMIALS monomials."""
 
 
-def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries, gens,
-                **parts) -> Report:
+def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries,
+                generators: Callable[[], GeneratorSet], **parts) -> Report:
     """A listing report, after checking that the listing has as many
     monomials in each degree as the series says: the two are computed
     independently, from generator counts and from enumerated monomials.
-    Raises ListingTooLarge, before enumerating, when the series predicts
-    more than MAX_LISTED_MONOMIALS monomials."""
+    Raises ListingTooLarge, before building the generators or listing, when
+    the series predicts more than MAX_LISTED_MONOMIALS monomials; each
+    generator is a monomial, so ``generators()`` then builds no more."""
     predicted = sum(series.coefficients)
     if predicted > MAX_LISTED_MONOMIALS:
         raise ListingTooLarge(
             f"{kind} through degree {n} would list {predicted} monomials,"
             f" more than the limit of {MAX_LISTED_MONOMIALS}"
         )
-    basis = enumerate_monomials(gens, n)
+    basis = enumerate_monomials(generators(), n)
     for d, (listed, expected) in enumerate(zip(basis.dimensions(), series.coefficients)):
         if listed != expected:
             raise versal.VerificationError(
@@ -248,10 +255,12 @@ COMMANDS = {
     ),
     "homotopy": _homotopy,
     "basis": lambda p, n: _with_basis(
-        "basis", p, n, versal.homology_series(p, n), enumerate_generators(p, 1, n)
+        "basis", p, n, versal.homology_series(p, n),
+        lambda: enumerate_generators(p, 1, n),
     ),
     "steenrod": lambda p, n: _with_basis(
-        "steenrod", p, n, versal.steenrod_series(p, n), milnor_generator_degrees(p, n)
+        "steenrod", p, n, versal.steenrod_series(p, n),
+        lambda: milnor_generator_degrees(p, n),
     ),
     "thh": lambda p, n: Report(
         "thh", p, n, versal.thh_homology_series(p, n).coefficients
@@ -269,7 +278,8 @@ COMMANDS = {
         (versal.TOR_ASSUMPTION,), scalar_name="first_difference",
     ),
     "collision": lambda p, n: _with_basis(
-        "collision", 2, 4, versal.homology_series(2, 4), enumerate_generators(2, 1, 4),
+        "collision", 2, 4, versal.homology_series(2, 4),
+        lambda: enumerate_generators(2, 1, 4),
         witness=versal.structure_map_collision(),
     ),
     "verify": _verify,

@@ -57,9 +57,7 @@ class AdmissibleWord:
 
     @property
     def word_degree(self) -> int:
-        if self.prime == 2:
-            return sum(self.entries)
-        return sum(2 * s * (self.prime - 1) - eps for eps, s in self.entries)
+        return _word_degree(self.prime, self.entries)
 
     @property
     def excess(self) -> "int | float":
@@ -77,13 +75,24 @@ class AdmissibleWord:
         return gen_degree + self.word_degree
 
     def render(self, symbol: str = "a") -> str:
-        if not self.entries:
-            return symbol
-        if self.prime == 2:
-            ops = [f"Q^{i}" for i in self.entries]
-        else:
-            ops = [("bQ^" if eps else "Q^") + str(s) for eps, s in self.entries]
-        return " ".join(ops) + " " + symbol
+        return _render_word(self.prime, self.entries, symbol)
+
+
+def _word_degree(p: int, entries: tuple) -> int:
+    """Word degree of raw entries, as ``AdmissibleWord.word_degree``."""
+    if p == 2:
+        return sum(entries)
+    return sum(2 * s * (p - 1) - eps for eps, s in entries)
+
+
+def _render_word(p: int, entries: tuple, symbol: str) -> str:
+    """Raw entries applied to ``symbol``, as ``AdmissibleWord.render``."""
+    if not entries:
+        return symbol
+    if p == 2:
+        return "Q^" + " Q^".join(map(str, entries)) + " " + symbol
+    ops = [("bQ^" if eps else "Q^") + str(s) for eps, s in entries]
+    return " ".join(ops) + " " + symbol
 
 
 def _generator_words_p2(n: int, budget: int) -> list[tuple]:
@@ -248,14 +257,23 @@ def generator_series(
 def enumerate_generators(
     p: int, gen_degree: int, max_degree: int, symbol: str = "a"
 ) -> GeneratorSet:
-    """Free-algebra generator set over one class of degree ``gen_degree``.
+    """Free-algebra generator set over one class of degree ``gen_degree``:
+    one generator per word of ``generator_words``.
 
     Kind is polynomial at p = 2; at odd primes it follows the parity of
     the total degree.  Labels are the rendered words applied to
-    ``symbol``.
+    ``symbol``.  The words are read as the raw entry tuples the search
+    yields, admissible by construction, so no ``AdmissibleWord`` is built.
     """
-    gens = []
-    for w in generator_words(p, gen_degree, max_degree):
-        d = w.degree(gen_degree)
-        gens.append(Generator(w.render(symbol), d, _kind(p, d)))
-    return GeneratorSet(tuple(gens))
+    _check_arguments(p, gen_degree, max_degree)
+    pairs = []
+    if gen_degree <= max_degree:
+        pairs.append((gen_degree, symbol))
+        budget = max_degree - gen_degree
+        raw = _generator_words_p2(gen_degree, budget) if p == 2 else (
+            _generator_words_odd(p, gen_degree, budget))
+        pairs += [
+            (gen_degree + _word_degree(p, w), _render_word(p, w, symbol)) for w in raw
+        ]
+    pairs.sort()
+    return GeneratorSet(tuple(Generator(label, d, _kind(p, d)) for d, label in pairs))

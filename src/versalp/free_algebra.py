@@ -182,12 +182,14 @@ def _listing(gens: GeneratorSet, n: int, unit, power, prefix) -> list[list]:
     buckets: list[list] = [[unit]] + [[] for _ in range(n)]
     for g in reversed(gens.entries):
         d = g.degree
-        top = 1 if g.kind == EXTERIOR else n // d
+        exterior = g.kind == EXTERIOR
+        top = 1 if exterior else n // d
         # One element per exponent, shared by every monomial that has it.
         powers = [power(g, e) for e in range(1, top + 1)]
-        prefixes = [prefix(g, e) for e in range(1, top + 1)]
+        prepends = [prefix(g, e).__add__ for e in range(1, top + 1)]
         for t in range(n, d - 1, -1):
-            hi = min(top, t // d)
+            # t <= n, so t // d never exceeds top for a polynomial generator.
+            hi = 1 if exterior else t // d
             new: list = []
             if hi * d == t:
                 # The pure power g^hi comes first.
@@ -196,8 +198,7 @@ def _listing(gens: GeneratorSet, n: int, unit, power, prefix) -> list[list]:
             for e in range(hi, 0, -1):
                 rest = buckets[t - e * d]
                 if rest:
-                    head = prefixes[e - 1]
-                    new += [head + r for r in rest]
+                    new += map(prepends[e - 1], rest)
             if new:
                 buckets[t] = new + buckets[t]
     return buckets

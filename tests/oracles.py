@@ -3,12 +3,15 @@
 Nothing here shares code with the package: multiplication is a full
 convolution of lists, free-algebra series are folds of explicit factor
 series, word enumeration tries every composition and filters, and monomial
-listing tries every exponent vector and filters.  Two quadratic algorithms
+listing tries every exponent vector and filters; CSV is written by the
+standard library's ``csv`` writer from a report's fields.  Two quadratic algorithms
 the package once used serve as references at degrees in the thousands,
 where the naive ones cannot go: dynamic programs that count generator words
 per degree, and a fold of generator counts factor by factor.
 """
 
+import csv
+import io
 import itertools
 from math import comb
 from operator import add
@@ -213,3 +216,31 @@ def factor_fold(triples, n):
                 for i in range(n, d - 1, -1):
                     c[i] += c[i - d]
     return c
+
+
+def csv_reference(report):
+    """A CLI report's CSV form written by ``csv.writer``, one row per degree
+    and monomial, witness part, scalar, verdict or coefficient, from the
+    report's fields."""
+    if report.verdicts is not None:
+        header = ("check", "passed")
+        rows = [(v.name, str(v.passed).lower()) for v in report.verdicts]
+    elif report.witness is not None:
+        header = ("name", "value")
+        sources = [m.render() for m in report.witness.source_monomials]
+        rows = [(f"source_{i + 1}", s) for i, s in enumerate(sources)]
+        rows.append(("image", report.witness.image))
+    elif report.scalar_name is not None:
+        header = ("name", "value")
+        rows = [(report.scalar_name, report.series[0])]
+    elif report.basis is not None:
+        header = ("degree", "monomial")
+        rows = [(d, s) for d, bucket in enumerate(report.basis.names) for s in bucket]
+    else:
+        header = ("degree", "coefficient")
+        rows = list(enumerate(report.series))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -10,7 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from versalp import cli, free_algebra, versal
 from versalp.dyer_lashof import enumerate_generators
 from versalp.free_algebra import Monomial, enumerate_monomials
+from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import VerificationError
+
+from oracles import csv_reference
 
 
 def run(capsys, *argv):
@@ -432,6 +435,50 @@ def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, cap
     assert out == ""
     assert "17529001 monomials" in err
     assert str(cli.MAX_LISTED_MONOMIALS) in err
+
+
+def test_listing_over_the_size_limit_builds_no_generator(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("built generators for a listing over the limit")
+
+    monkeypatch.setattr(cli, "enumerate_generators", never)
+    monkeypatch.setattr(cli, "milnor_generator_degrees", never)
+    for argv in (["basis", "--prime", "2", "--max-degree", "4000"],
+                 ["steenrod", "--prime", "2", "--max-degree", "400"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"more than the limit of {cli.MAX_LISTED_MONOMIALS}" in err
+
+
+# Every subcommand at its default degree, and listings a few degrees up.
+CSV_ARGVS = [
+    [command, "--prime", str(p)]
+    for command in cli.COMMANDS if command != "collision" for p in (2, 3)
+] + [
+    ["collision"],
+    ["basis", "--prime", "3", "--max-degree", "40"],
+    ["steenrod", "--prime", "5", "--max-degree", "60"],
+    ["verify", "--prime", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGVS, ids=" ".join)
+def test_csv_equals_the_csv_module_writer(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    p = int(argv[2]) if len(argv) > 2 else 2
+    n = int(argv[4]) if len(argv) > 4 else 4 * (p - 1)
+    report = cli.COMMANDS[argv[0]](p, n)
+    assert out == csv_reference(report)
+
+
+def test_generator_labels_hold_no_csv_special_character():
+    special = set(',"\r\n')
+    labels = [g.label for p in (2, 3, 5, 7) for g in milnor_generator_degrees(p, 400)]
+    for p, n in ((2, 40), (3, 80), (5, 160), (7, 240)):
+        labels += [g.label for g in enumerate_generators(p, 1, n)]
+        labels += [g.label for g in enumerate_generators(p, 2, n, symbol="b")]
+    assert not [label for label in labels if special & set(label)]
 
 
 def test_series_degree_over_the_limit_exits_1_before_computing(monkeypatch, capsys):

@@ -134,6 +134,23 @@ def test_generator_symbol_controls_labels():
     assert [(g.label, g.degree) for g in gens] == [("b", 2), ("Q^3 b", 5)]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("gen_degree", [1, 2, 3])
+@pytest.mark.parametrize("symbol", ["a", "b"])
+def test_generators_equal_the_word_path(p, gen_degree, symbol):
+    # AdmissibleWord, validated and rendered word by word, is the oracle for
+    # the generators built from the search's raw entry tuples.
+    for n in sorted({0, gen_degree - 1, gen_degree, 30, 60}):
+        expected = []
+        for w in generator_words(p, gen_degree, n):
+            d = w.degree(gen_degree)
+            kind = "exterior" if p != 2 and d % 2 else "polynomial"
+            expected.append((w.render(symbol), d, kind))
+        expected.sort(key=lambda g: (g[1], g[0]))  # GeneratorSet order
+        gens = enumerate_generators(p, gen_degree, n, symbol)
+        assert [(g.label, g.degree, g.kind) for g in gens] == expected, n
+
+
 def test_degenerate_and_invalid_arguments():
     assert len(enumerate_generators(2, 2, 1)) == 0
     assert len(enumerate_generators(2, 2, 0)) == 0
