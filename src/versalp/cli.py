@@ -346,7 +346,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
     text = render(report, args.format)
     if args.output is None:
-        sys.stdout.write(text)
+        # The UTF-8 bytes --output writes, whatever the locale's encoding.
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
     else:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -14,8 +14,8 @@ from itertools import count, product
 from operator import add
 from typing import Sequence
 
-from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
-from .power_series import TruncatedSeries, product_over_counts
+from .free_algebra import Generator, GeneratorSet
+from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, product_over_counts
 from .primes import require_prime
 
 
@@ -159,17 +159,22 @@ def _check_arguments(p: int, gen_degree: int, max_degree: int) -> None:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
 
 
+def _raw_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
+    """Entry tuples of the empty word ``()`` and of every admissible word with
+    excess > gen_degree and total degree <= max_degree, in search order."""
+    _check_arguments(p, gen_degree, max_degree)
+    if gen_degree > max_degree:
+        return []
+    budget = max_degree - gen_degree
+    if p == 2:
+        return [()] + _generator_words_p2(gen_degree, budget)
+    return [()] + _generator_words_odd(p, gen_degree, budget)
+
+
 def generator_words(p: int, gen_degree: int, max_degree: int) -> tuple[AdmissibleWord, ...]:
     """Empty word plus every admissible word with excess > gen_degree and
     total degree <= max_degree, sorted by (total degree, entries)."""
-    _check_arguments(p, gen_degree, max_degree)
-    words: list[AdmissibleWord] = []
-    if gen_degree <= max_degree:
-        words.append(AdmissibleWord(p, ()))
-        budget = max_degree - gen_degree
-        raw = _generator_words_p2(gen_degree, budget) if p == 2 else (
-            _generator_words_odd(p, gen_degree, budget))
-        words.extend(AdmissibleWord(p, w) for w in raw)
+    words = [AdmissibleWord(p, w) for w in _raw_words(p, gen_degree, max_degree)]
     words.sort(key=lambda w: (w.degree(gen_degree), w.entries))
     return tuple(words)
 
@@ -263,17 +268,11 @@ def enumerate_generators(
     Kind is polynomial at p = 2; at odd primes it follows the parity of
     the total degree.  Labels are the rendered words applied to
     ``symbol``.  The words are read as the raw entry tuples the search
-    yields, admissible by construction, so no ``AdmissibleWord`` is built.
+    yields, admissible by construction, so no ``AdmissibleWord`` is built;
+    ``GeneratorSet`` puts them in (degree, label) order.
     """
-    _check_arguments(p, gen_degree, max_degree)
-    pairs = []
-    if gen_degree <= max_degree:
-        pairs.append((gen_degree, symbol))
-        budget = max_degree - gen_degree
-        raw = _generator_words_p2(gen_degree, budget) if p == 2 else (
-            _generator_words_odd(p, gen_degree, budget))
-        pairs += [
-            (gen_degree + _word_degree(p, w), _render_word(p, w, symbol)) for w in raw
-        ]
-    pairs.sort()
-    return GeneratorSet(tuple(Generator(label, d, _kind(p, d)) for d, label in pairs))
+    gens = []
+    for w in _raw_words(p, gen_degree, max_degree):
+        d = gen_degree + _word_degree(p, w)
+        gens.append(Generator(_render_word(p, w, symbol), d, _kind(p, d)))
+    return GeneratorSet(tuple(gens))

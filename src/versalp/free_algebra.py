@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .power_series import TruncatedSeries, product_over_generators
-
-POLYNOMIAL = "polynomial"
-EXTERIOR = "exterior"
-KINDS = (POLYNOMIAL, EXTERIOR)
+from .power_series import EXTERIOR, KINDS, POLYNOMIAL, TruncatedSeries, product_over_generators
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,9 @@ class GeneratorSet:
 class Monomial:
     """Product of generator powers; factors in (degree, label) order.
 
-    The empty monomial is the algebra unit and renders as "1".  Public
-    construction validates the factors; ``MonomialBasis.buckets`` builds them
-    valid and skips the check (``_trusted_monomial``).
+    The empty monomial is the algebra unit and renders as "1".  Every
+    construction checks the exponents (>= 1, at most 1 for an exterior
+    generator) and the strict factor order.
     """
 
     factors: tuple[tuple[Generator, int], ...]
@@ -115,17 +111,6 @@ def _piece(g: Generator, e: int) -> str:
     return f"{g.label}^{e}"
 
 
-_set_factors = Monomial.factors.__set__
-
-
-def _trusted_monomial(factors: tuple[tuple[Generator, int], ...]) -> Monomial:
-    """A Monomial whose factors are known to be valid, built without the
-    checks of ``__post_init__``."""
-    m = object.__new__(Monomial)
-    _set_factors(m, factors)
-    return m
-
-
 @dataclass(frozen=True)
 class MonomialBasis:
     """Monomials of degrees 0..N by degree.
@@ -143,7 +128,7 @@ class MonomialBasis:
     @cached_property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
         listing = _listing(self.generators, self.truncation_degree, (), _factor, _factor)
-        return tuple(tuple(map(_trusted_monomial, bucket)) for bucket in listing)
+        return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
         return self.buckets[degree]
@@ -212,6 +197,8 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     powers of the lowest generator come first.  Only the names are built
     here; the ``Monomial``s wait for the first read of ``buckets``.
     """
+    if truncation_degree < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {truncation_degree}")
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))
     names = _listing(gens, truncation_degree, "1", _piece, _joining_piece)

@@ -16,6 +16,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 if TYPE_CHECKING:
     from .free_algebra import Generator
 
+# Generator kinds: of degree d, a polynomial one gives 1/(1 - t^d), an exterior one 1 + t^d.
+POLYNOMIAL = "polynomial"
+EXTERIOR = "exterior"
+KINDS = (POLYNOMIAL, EXTERIOR)
+
 
 class VerificationError(Exception):
     """A mathematical consistency check failed; no report may be emitted."""
@@ -162,11 +167,11 @@ def _apply_factor(c: list[int], d: int, kind: str, inverse: bool = False) -> Non
     inverse), bottom up where later terms must see the updated ones."""
     if d < 1:
         raise ValueError(f"generator degree must be >= 1, got {d}")
-    if kind not in ("polynomial", "exterior"):
+    if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     n = len(c) - 1
     sign = -1 if inverse else 1
-    bottom_up = (kind == "polynomial") != inverse
+    bottom_up = (kind == POLYNOMIAL) != inverse
     for i in range(d, n + 1) if bottom_up else range(n, d - 1, -1):
         c[i] += sign * c[i - d]
 
@@ -235,10 +240,10 @@ def product_over_counts(
             raise ValueError(f"generator degree must be >= 1, got {d}")
         if b < 0:
             raise ValueError(f"generator multiplicity must be >= 0, got {b}")
-        if kind == "polynomial":
+        if kind == POLYNOMIAL:
             for k in range(d, n + 1, d):
                 c[k] += d * b
-        elif kind == "exterior":
+        elif kind == EXTERIOR:
             for k in range(d, n + 1, d):
                 c[k] += d * b if (k // d) % 2 else -d * b
         else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .dyer_lashof import enumerate_generators, generator_series
-from .free_algebra import GeneratorSet, Monomial, enumerate_monomials, series_of
+from .free_algebra import Monomial, enumerate_monomials, series_of
 from .power_series import TruncatedSeries, VerificationError, quotient_over_generators
 from .primes import require_prime
 from .steenrod_dual import milnor_generator_degrees

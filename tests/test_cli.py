@@ -3,11 +3,14 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from versalp import cli, free_algebra, versal
+from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators
 from versalp.free_algebra import Monomial, enumerate_monomials
 from versalp.steenrod_dual import milnor_generator_degrees
@@ -220,6 +223,21 @@ def test_output_flag_writes_identical_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
+    target = tmp_path / "basis.txt"
+    env = dict(os.environ, PYTHONIOENCODING=encoding,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "versalp.cli", "basis", "--prime", "2"]
+    printed = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    written = subprocess.run(argv + ["--output", str(target)], env=env, capture_output=True,
+                             timeout=60)
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert (written.returncode, written.stderr, written.stdout) == (0, b"", b"")
+    assert printed.stdout == target.read_bytes()
+    assert "a·Q^2 a".encode("utf-8") in printed.stdout
+
+
 def test_json_and_csv_are_byte_deterministic(capsys):
     first = run(capsys, "basis", "--prime", "3", "--max-degree", "8", "--format", "json")
     second = run(capsys, "basis", "--prime", "3", "--max-degree", "8", "--format", "json")
@@ -358,10 +376,10 @@ def test_each_monomial_rendered_once(monkeypatch, capsys, fmt):
 
 
 def test_listing_reports_build_no_monomial(monkeypatch, capsys):
-    def never(factors):
+    def never(monomial):
         raise AssertionError("built a Monomial for a report that prints names")
 
-    monkeypatch.setattr(free_algebra, "_trusted_monomial", never)
+    monkeypatch.setattr(Monomial, "__post_init__", never)
     for argv in (["basis", "--prime", "3", "--max-degree", "40"],
                  ["steenrod", "--prime", "5", "--max-degree", "60"]):
         for fmt in ("table", "json", "csv"):

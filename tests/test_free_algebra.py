@@ -120,6 +120,8 @@ def test_monomial_validation():
         Monomial(((y, 2),))
     with pytest.raises(ValueError):
         Monomial(((y, 1), (x, 1)))  # out of canonical order
+    with pytest.raises(ValueError):
+        enumerate_monomials(GeneratorSet((x, y)), -1)
 
 
 def test_dimension_series_round_trip():
