@@ -19,7 +19,7 @@ from .free_algebra import (
     series_of,
 )
 from .power_series import TruncatedSeries, product_over_counts, product_over_generators
-from .steenrod_dual import MilnorGenerator, milnor_generator_degrees, milnor_generators
+from .steenrod_dual import milnor_generator_degrees
 from .versal import (
     CollisionWitness,
     HomotopyReport,
@@ -49,7 +49,6 @@ __all__ = [
     "Generator",
     "GeneratorSet",
     "HomotopyReport",
-    "MilnorGenerator",
     "Monomial",
     "MonomialBasis",
     "POLYNOMIAL",
@@ -69,7 +68,6 @@ __all__ = [
     "homotopy_series",
     "hz_quotient_comparison",
     "milnor_generator_degrees",
-    "milnor_generators",
     "product_over_counts",
     "product_over_generators",
     "selfmap_first_nontrivial",

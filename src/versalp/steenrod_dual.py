@@ -7,57 +7,26 @@ with an exterior algebra on tau_i of degree 2 p^i - 1 (i >= 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
 from .primes import require_prime
 
 
-@dataclass(frozen=True)
-class MilnorGenerator:
-    family: str  # "xi" or "tau"
-    index: int
-    degree: int
-    kind: str
+def milnor_generator_degrees(p: int, max_degree: int) -> GeneratorSet:
+    """The Milnor generators xi_i and tau_i of degree <= max_degree.
 
-    def __post_init__(self) -> None:
-        if self.family not in ("xi", "tau"):
-            raise ValueError(f"unknown Milnor family {self.family!r}")
-        if self.degree < 1 or self.index < 0:
-            raise ValueError("bad Milnor generator data")
-
-    @property
-    def label(self) -> str:
-        return f"{self.family}_{self.index}"
-
-
-def milnor_generators(p: int, max_degree: int) -> tuple[MilnorGenerator, ...]:
-    """All Milnor generators of degree <= max_degree, ordered by
-    (degree, family, index)."""
+    Their degrees are distinct (at odd p the xi degrees are even and the tau
+    degrees odd), so the set's (degree, label) order is the degree order."""
     require_prime(p)
     if max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
-    out = []
     if p == 2:
-        i = 1
-        while 2**i - 1 <= max_degree:
-            out.append(MilnorGenerator("xi", i, 2**i - 1, POLYNOMIAL))
-            i += 1
+        families = (("xi", 1, POLYNOMIAL, lambda i: 2**i - 1),)
     else:
-        i = 1
-        while 2 * (p**i - 1) <= max_degree:
-            out.append(MilnorGenerator("xi", i, 2 * (p**i - 1), POLYNOMIAL))
+        families = (("xi", 1, POLYNOMIAL, lambda i: 2 * (p**i - 1)),
+                    ("tau", 0, EXTERIOR, lambda i: 2 * p**i - 1))
+    out = []
+    for family, i, kind, degree in families:
+        while degree(i) <= max_degree:
+            out.append(Generator(f"{family}_{i}", degree(i), kind))
             i += 1
-        i = 0
-        while 2 * p**i - 1 <= max_degree:
-            out.append(MilnorGenerator("tau", i, 2 * p**i - 1, EXTERIOR))
-            i += 1
-    out.sort(key=lambda g: (g.degree, g.family, g.index))
-    return tuple(out)
-
-
-def milnor_generator_degrees(p: int, max_degree: int) -> GeneratorSet:
-    """The Milnor generators packaged for free-algebra expansion."""
-    return GeneratorSet(
-        tuple(Generator(g.label, g.degree, g.kind) for g in milnor_generators(p, max_degree))
-    )
+    return GeneratorSet(tuple(out))

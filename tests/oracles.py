@@ -3,7 +3,8 @@
 Nothing here shares code with the package: multiplication is a full
 convolution of lists, free-algebra series are folds of explicit factor
 series, word enumeration tries every composition and filters, and monomial
-listing tries every exponent vector and filters; CSV is written by the
+listing tries every exponent vector and filters, Milnor generator degrees
+are found by testing every degree for membership; CSV is written by the
 standard library's ``csv`` writer from a report's fields.  Two quadratic algorithms
 the package once used serve as references at degrees in the thousands,
 where the naive ones cannot go: dynamic programs that count generator words
@@ -216,6 +217,32 @@ def factor_fold(triples, n):
                 for i in range(n, d - 1, -1):
                     c[i] += c[i - d]
     return c
+
+
+def _is_power(m, p, least_exponent):
+    """Whether m = p^i for some i >= least_exponent."""
+    i = 0
+    while m > 1 and m % p == 0:
+        m, i = m // p, i + 1
+    return m == 1 and i >= least_exponent
+
+
+def milnor_degrees_by_membership(p, n):
+    """(degree, kind) of each Milnor generator of degree <= n, in degree
+    order, by testing every d <= n: at p = 2, d = 2^i - 1 with i >= 1 is a
+    polynomial xi; at odd p, d = 2(p^i - 1) with i >= 1 is a polynomial xi
+    and d = 2 p^i - 1 with i >= 0 an exterior tau."""
+    out = []
+    for d in range(1, n + 1):
+        if p == 2:
+            if _is_power(d + 1, 2, 1):
+                out.append((d, "polynomial"))
+        elif d % 2 == 0:
+            if _is_power(d // 2 + 1, p, 1):
+                out.append((d, "polynomial"))
+        elif _is_power((d + 1) // 2, p, 0):
+            out.append((d, "exterior"))
+    return out
 
 
 def csv_reference(report):

@@ -512,6 +512,8 @@ def test_series_degree_over_the_limit_exits_1_before_computing(monkeypatch, caps
         (["thh", "--prime", "2", "--max-degree", str(over)], over),
         (["verify", "--prime", "7", "--max-degree", str(over)], over),
         (["basis", "--prime", "3", "--max-degree", str(over)], over),
+        # the battery's self-map check computes at 4(p - 1)
+        (["verify", "--prime", "1009", "--max-degree", "10"], 4032),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -1,9 +1,10 @@
 import pytest
 
 from versalp.free_algebra import enumerate_monomials, series_of
-from versalp.steenrod_dual import milnor_generator_degrees, milnor_generators
+from versalp.steenrod_dual import milnor_generator_degrees
+from versalp.versal import homotopy_report, steenrod_series
 
-from oracles import naive_series
+from oracles import factor_fold, milnor_degrees_by_membership, naive_mul, naive_series
 
 
 def test_p3_generators_and_expansion():
@@ -36,17 +37,23 @@ def test_p7_generators():
     ]
 
 
+def _family_and_index(label):
+    """("xi", 2) for the label "xi_2"."""
+    family, index = label.split("_")
+    return family, int(index)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_degrees_strictly_increase_within_each_family(p):
-    gens = milnor_generators(p, 200)
+    gens = milnor_generator_degrees(p, 200)
     for family in ("xi", "tau"):
-        degrees = [g.degree for g in gens if g.family == family]
+        degrees = [g.degree for g in gens if _family_and_index(g.label)[0] == family]
         assert degrees == sorted(set(degrees))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_three_smallest_odd_prime_degrees(p):
-    degrees = [g.degree for g in milnor_generators(p, 4 * (p - 1))]
+    degrees = [g.degree for g in milnor_generator_degrees(p, 4 * (p - 1))]
     assert degrees[:3] == [1, 2 * p - 2, 2 * p - 1]
 
 
@@ -58,8 +65,8 @@ def test_seven_elements_through_degree_4p_minus_4(p):
 
 
 def test_families_and_indices():
-    gens = milnor_generators(5, 60)
-    assert [(g.family, g.index, g.degree) for g in gens] == [
+    gens = milnor_generator_degrees(5, 60)
+    assert [(*_family_and_index(g.label), g.degree) for g in gens] == [
         ("tau", 0, 1),
         ("xi", 1, 8),
         ("tau", 1, 9),
@@ -74,3 +81,17 @@ def test_empty_range_and_validation():
         milnor_generator_degrees(9, 4)
     with pytest.raises(ValueError):
         milnor_generator_degrees(2, -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_milnor_set_matches_a_membership_oracle_far_above_the_caps(p):
+    gens = milnor_generator_degrees(p, 10**6)
+    assert [(g.degree, g.kind) for g in gens] == milnor_degrees_by_membership(p, 10**6)
+    n = 2000
+    oracle = factor_fold(
+        [(d, kind, 1) for d, kind in milnor_degrees_by_membership(p, n)], n
+    )
+    assert list(steenrod_series(p, n).coefficients) == oracle
+    report = homotopy_report(p, n)
+    product = naive_mul(list(report.homotopy_series.coefficients), oracle)
+    assert product == list(report.homology_series.coefficients)

@@ -1,9 +1,10 @@
 import pytest
 
-from versalp import cli, versal
+from versalp import cli, power_series, versal
 from versalp.dyer_lashof import enumerate_generators, generator_series
-from versalp.free_algebra import enumerate_monomials
-from versalp.power_series import TruncatedSeries
+from versalp.free_algebra import Generator, GeneratorSet, enumerate_monomials
+from versalp.power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, _apply_factor
+from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import (
     VerificationError,
     cotangent_series,
@@ -206,3 +207,44 @@ def test_cotangent_shift_fails_when_the_suspension_shifts_nothing(monkeypatch, n
     verdict = next(v for v in verification_battery(3, n) if v.name == "cotangent_shift")
     assert not verdict.passed
     assert verdict.detail == "equals t * homotopy"
+
+
+def _passes(flip_sign=False, reverse=False):
+    """An ``_apply_factor`` with its sign flipped or its pass order reversed,
+    in the forward and the inverse direction alike."""
+    def apply(c, d, kind, inverse=False):
+        sign = 1 if inverse == flip_sign else -1
+        bottom_up = ((kind == POLYNOMIAL) != inverse) != reverse
+        for i in range(d, len(c)) if bottom_up else range(len(c) - 1, d - 1, -1):
+            c[i] += sign * c[i - d]
+    return apply
+
+
+def _kinds_swapped(c, d, kind, inverse=False):
+    """The real ``_apply_factor`` with the kinds swapped.  There the kind only
+    picks the pass direction, so this computes what the reversed mutant does,
+    through the real code."""
+    swapped = EXTERIOR if kind == POLYNOMIAL else POLYNOMIAL
+    _apply_factor(c, d, swapped, inverse)
+
+
+def _first_kind_swapped(p, n):
+    first, *rest = milnor_generator_degrees(p, n)
+    swapped = EXTERIOR if first.kind == POLYNOMIAL else POLYNOMIAL
+    return GeneratorSet((Generator(first.label, first.degree, swapped), *rest))
+
+
+STEENROD_MUTANTS = {
+    "reversed": (power_series, "_apply_factor", _passes(reverse=True)),
+    "flipped_sign": (power_series, "_apply_factor", _passes(flip_sign=True)),
+    "kinds_swapped": (power_series, "_apply_factor", _kinds_swapped),
+    "milnor_kind": (versal, "milnor_generator_degrees", _first_kind_swapped),
+}
+
+
+@pytest.mark.parametrize("p,n", [(2, 40), (3, 60)])
+@pytest.mark.parametrize("mutant", STEENROD_MUTANTS)
+def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, mutant, p, n):
+    monkeypatch.setattr(*STEENROD_MUTANTS[mutant])
+    assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
+    assert "FAIL" in capsys.readouterr().out
