@@ -196,9 +196,9 @@ MAX_LISTED_MONOMIALS = 1_000_000
 
 
 # Highest degree a series report may be asked for. At p = 2 the slowest one,
-# verify, takes 1.2 s and 20 MB at this degree (2-core x86-64, Python 3.11),
-# and 5.4 s and 29 MB at twice it: the big-integer products that dominate
-# grow about four times with each doubling of the degree.
+# verify, takes 0.55 s and 18 MB at this degree (2-core x86-64, Python 3.11),
+# and 2.9 s and 24 MB at twice it, nearly all in the homology fold, whose
+# big-integer products grow about five times with each doubling of the degree.
 MAX_SERIES_DEGREE = 4000
 
 

@@ -9,7 +9,7 @@ loudly instead of silently re-truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -161,36 +161,56 @@ def _pack(coeffs: Sequence[int], w: int) -> int:
     return int.from_bytes(raw, "little") - _offsets(len(coeffs), w)
 
 
-def _apply_factor(c: list[int], d: int, kind: str, inverse: bool = False) -> None:
-    """Multiply ``c`` in place by 1/(1 - t^d) or by (1 + t^d), or with
-    ``inverse`` divide by it: one pass ``c[i] += c[i - d]`` (``-=`` for the
-    inverse), bottom up where later terms must see the updated ones."""
+def _check_factor(d: int, kind: str) -> None:
+    """Raise ValueError unless degree d and ``kind`` name a generator's factor."""
     if d < 1:
         raise ValueError(f"generator degree must be >= 1, got {d}")
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def _apply_factor(c: list[int], d: int, kind: str) -> None:
+    """Divide ``c`` in place by 1/(1 - t^d) or (1 + t^d) in one pass of
+    ``c[i] -= c[i - d]``, bottom up for (1 + t^d), whose terms see new ones."""
+    _check_factor(d, kind)
     n = len(c) - 1
-    sign = -1 if inverse else 1
-    bottom_up = (kind == POLYNOMIAL) != inverse
-    for i in range(d, n + 1) if bottom_up else range(n, d - 1, -1):
-        c[i] += sign * c[i - d]
+    for i in range(d, n + 1) if kind == EXTERIOR else range(n, d - 1, -1):
+        c[i] -= c[i - d]
+
+
+def multiply_over_generators(
+    series: TruncatedSeries, gens: Iterable["Generator"]
+) -> TruncatedSeries:
+    """``series`` times the series of the free graded-commutative algebra on
+    ``gens``: the forward twin of ``quotient_over_generators``, sharing no
+    pass with it.  A polynomial factor 1/(1 - t^d) is a prefix sum along each
+    residue class mod d, one ``accumulate`` per class when d*d <= N, else
+    each block of d terms added onto the one below, so at most sqrt(N) steps
+    in Python; an exterior factor (1 + t^d) is one shifted add.  Both leave
+    the series as it is when d > N."""
+    c = list(series.coefficients)
+    n = len(c) - 1
+    for g in gens:
+        d, kind = g.degree, g.kind
+        _check_factor(d, kind)
+        if kind == EXTERIOR:
+            c[d:] = map(add, c[d:], c[:-d])
+        elif d * d <= n:
+            for r in range(d):
+                c[r::d] = accumulate(c[r::d])
+        else:
+            for k in range(d, n + 1, d):
+                c[k:k + d] = map(add, c[k:k + d], c[k - d:k])
+    return TruncatedSeries(n, tuple(c))
 
 
 def product_over_generators(
     gens: Iterable["Generator"], truncation_degree: int
 ) -> TruncatedSeries:
-    """Dimension series of the free graded-commutative algebra on ``gens``.
-
-    A polynomial generator of degree d contributes the factor 1/(1 - t^d),
-    an exterior one the factor (1 + t^d); generators above the truncation
-    degree contribute 1.  Each generator is one O(N) pass, so this suits
-    the few generators of the dual Steenrod algebra; many generators with
-    repeated degrees are cheaper through ``product_over_counts``.
-    """
-    c = [1] + [0] * truncation_degree
-    for g in gens:
-        _apply_factor(c, g.degree, g.kind)
-    return TruncatedSeries(truncation_degree, tuple(c))
+    """Dimension series of the free graded-commutative algebra on ``gens``,
+    ``multiply_over_generators`` applied to 1; many generators with repeated
+    degrees are cheaper through ``product_over_counts``."""
+    return multiply_over_generators(TruncatedSeries.one(truncation_degree), gens)
 
 
 def quotient_over_generators(
@@ -211,7 +231,7 @@ def quotient_over_generators(
     """
     c = list(series.coefficients)
     for g in gens:
-        _apply_factor(c, g.degree, g.kind, inverse=True)
+        _apply_factor(c, g.degree, g.kind)
     return TruncatedSeries(series.truncation_degree, tuple(c))
 
 
@@ -236,18 +256,15 @@ def product_over_counts(
     n = truncation_degree
     c = [0] * (n + 1)
     for d, kind, b in counts:
-        if d < 1:
-            raise ValueError(f"generator degree must be >= 1, got {d}")
+        _check_factor(d, kind)
         if b < 0:
             raise ValueError(f"generator multiplicity must be >= 0, got {b}")
         if kind == POLYNOMIAL:
             for k in range(d, n + 1, d):
                 c[k] += d * b
-        elif kind == EXTERIOR:
+        else:
             for k in range(d, n + 1, d):
                 c[k] += d * b if (k // d) % 2 else -d * b
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
     a = [1] + [0] * n
     _solve(a, [0] * (n + 1), c, 0, n + 1)
     return TruncatedSeries(n, tuple(a))

@@ -15,7 +15,8 @@ from operator import mul
 
 from .dyer_lashof import enumerate_generators, generator_series
 from .free_algebra import Monomial, enumerate_monomials, series_of
-from .power_series import TruncatedSeries, VerificationError, quotient_over_generators
+from .power_series import TruncatedSeries, VerificationError
+from .power_series import multiply_over_generators, quotient_over_generators
 from .primes import require_prime
 from .steenrod_dual import milnor_generator_degrees
 
@@ -70,9 +71,10 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     The dual Steenrod algebra is polynomial on the xi_i tensor exterior on
     the tau_i (Milnor), so the quotient undoes its generators' factors one
     at a time (``quotient_over_generators``), in O(N) each.  The
-    ``tensor_identity`` outcome multiplies it back against ``steenrod_series``,
-    which runs the same ``_apply_factor`` passes forward: it checks that the
-    passes undo each other, so a mutant both sides share still satisfies it.
+    ``tensor_identity`` outcome multiplies it back by the same generators'
+    factors with the forward kernel (``multiply_over_generators``), which
+    shares no pass with the inverse one, and compares every coefficient with
+    the homology.  Only the Milnor set is shared by both sides.
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
@@ -80,15 +82,15 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     """
     hom = homology_series(p, max_degree)
     ste = steenrod_series(p, max_degree)
-    quo = quotient_over_generators(hom, milnor_generator_degrees(p, max_degree))
+    milnor = milnor_generator_degrees(p, max_degree)
+    quo = quotient_over_generators(hom, milnor)
     c = quo.coefficients
     top = 4 * (p - 1)
     gap = c[0] == 1 and not any(c[1:min(top, max_degree + 1)])
     gap = gap and (max_degree < top or c[top] == 1)
     first = next((d for d in range(1, max_degree + 1) if c[d]), None)
-    return HomotopyReport(
-        p, max_degree, hom, ste, quo, gap, first, min(c) >= 0, quo.mul(ste) == hom
-    )
+    identity = multiply_over_generators(quo, milnor) == hom
+    return HomotopyReport(p, max_degree, hom, ste, quo, gap, first, min(c) >= 0, identity)
 
 
 def _checked(report: HomotopyReport) -> HomotopyReport:

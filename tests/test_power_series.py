@@ -1,14 +1,19 @@
+from math import isqrt
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from versalp.free_algebra import Generator, GeneratorSet
 from versalp.power_series import (
+    KINDS,
     TruncatedSeries,
+    multiply_over_generators,
+    product_over_counts,
     product_over_generators,
     quotient_over_generators,
 )
 
-from oracles import naive_factor, naive_mul, naive_series
+from oracles import factor_fold, naive_factor, naive_mul, naive_series
 
 
 def series(coeffs, n):
@@ -237,6 +242,48 @@ def test_quotient_over_generators_is_division_by_their_product(profile, data):
 
 
 def test_quotient_rejects_what_the_product_rejects():
-    for bad in (_Stub(0, "polynomial"), _Stub(2, "free")):
-        with pytest.raises(ValueError):
-            quotient_over_generators(TruncatedSeries.one(4), [bad])
+    # Validation comes before the skip of a generator above the truncation degree.
+    for bad, message in (
+        (_Stub(0, "polynomial"), "generator degree must be >= 1, got 0"),
+        (_Stub(2, "free"), "unknown generator kind 'free'"),
+        (_Stub(9, "free"), "unknown generator kind 'free'"),
+    ):
+        for kernel in (multiply_over_generators, quotient_over_generators):
+            with pytest.raises(ValueError, match=message):
+                kernel(TruncatedSeries.one(4), [bad])
+        with pytest.raises(ValueError, match=message):
+            product_over_counts([(bad.degree, bad.kind, 1)], 4)
+
+
+@st.composite
+def factor_profile(draw):
+    """A signed series of truncation degree N and generators of either kind
+    whose degrees are mostly 1, just below or above sqrt(N), N or N + 1."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    root = isqrt(n)
+    degree = st.sampled_from([1, root, root + 1, n, n + 1]) | st.integers(1, n + 2)
+    pairs = draw(st.lists(st.tuples(degree, st.sampled_from(KINDS)), max_size=6))
+    coeffs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=n + 1, max_size=n + 1))
+    return TruncatedSeries(n, tuple(coeffs)), pairs
+
+
+def _every_path(n):
+    """Each kind at degree 1, floor(sqrt(N)), the next degree, N and N + 1,
+    on a series with nonzero coefficients."""
+    root = isqrt(n)
+    pairs = [(d, k) for d in (1, root, root + 1, n, n + 1) for k in KINDS]
+    return TruncatedSeries(n, tuple(range(1, n + 2))), pairs
+
+
+# 36 = 6^2 puts d = 6 on the residue-class path and d = 7 on the block path.
+@given(factor_profile())
+@example(_every_path(30))
+@example(_every_path(36))
+@example(_every_path(1))
+def test_multiply_over_generators_is_mul_by_the_factor_fold(profile):
+    series, pairs = profile
+    n = series.truncation_degree
+    gens = [Generator(f"g{i}", d, kind) for i, (d, kind) in enumerate(pairs)]
+    fold = TruncatedSeries(n, tuple(factor_fold([(d, kind, 1) for d, kind in pairs], n)))
+    assert multiply_over_generators(series, gens) == series.mul(fold)
+    assert multiply_over_generators(TruncatedSeries.one(n), gens) == fold

@@ -1,9 +1,18 @@
+from itertools import accumulate
+from operator import add
+
 import pytest
 
 from versalp import cli, power_series, versal
 from versalp.dyer_lashof import enumerate_generators, generator_series
 from versalp.free_algebra import Generator, GeneratorSet, enumerate_monomials
-from versalp.power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, _apply_factor
+from versalp.power_series import (
+    EXTERIOR,
+    POLYNOMIAL,
+    TruncatedSeries,
+    _apply_factor,
+    multiply_over_generators,
+)
 from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import (
     VerificationError,
@@ -70,6 +79,13 @@ def test_homotopy_report_tensor_identity_fields():
         assert got == list(report.homology_series.coefficients)
 
 
+@pytest.mark.parametrize("p", [2, 7])
+def test_tensor_identity_agrees_with_the_kronecker_multiply_back_at_degree_4000(p):
+    report = versal.homotopy_report(p, 4000)
+    assert report.tensor_identity
+    assert report.homotopy_series.mul(report.steenrod_series) == report.homology_series
+
+
 def test_homotopy_truncated_below_the_gap():
     report = homotopy_series(2, 2)
     assert report.homotopy_series.coefficients == (1, 0, 0)
@@ -78,11 +94,14 @@ def test_homotopy_truncated_below_the_gap():
 
 
 def test_homotopy_negative_coefficient_aborts(monkeypatch):
-    def inflated(p, n):
-        return TruncatedSeries.from_coefficients((1, 3), n)
+    quotient = versal.quotient_over_generators
 
-    monkeypatch.setattr(versal, "steenrod_series", inflated)
-    with pytest.raises(VerificationError):
+    def one_negative_at_the_top(series, gens):
+        c = quotient(series, gens).coefficients
+        return TruncatedSeries(len(c) - 1, c[:-1] + (-1,))
+
+    monkeypatch.setattr(versal, "quotient_over_generators", one_negative_at_the_top)
+    with pytest.raises(VerificationError, match="negative homotopy dimension -1 in degree 4"):
         versal.homotopy_series(2, 4)
 
 
@@ -190,14 +209,18 @@ def test_verification_battery_all_pass(p):
     assert ("collision_witness" in names) == (p == 2)
 
 
-def test_verification_battery_reports_failures(monkeypatch):
+def test_verification_battery_reports_failures(monkeypatch, capsys):
+    # The identity multiplies the quotient back by the Milnor generators
+    # themselves; the report's Steenrod series feeds the cotangent check.
     def broken(p, n):
         return TruncatedSeries.from_coefficients((1, 0), n)
 
     monkeypatch.setattr(versal, "steenrod_series", broken)
     verdicts = versal.verification_battery(2, 4)
     failed = {v.name for v in verdicts if not v.passed}
-    assert "tensor_identity" in failed or "gap" in failed
+    assert failed == {"cotangent_shift"}
+    assert cli.main(["verify", "--prime", "2", "--max-degree", "4"]) == 2
+    assert "FAIL  cotangent_shift" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [0, 1, 12])
@@ -210,22 +233,20 @@ def test_cotangent_shift_fails_when_the_suspension_shifts_nothing(monkeypatch, n
 
 
 def _passes(flip_sign=False, reverse=False):
-    """An ``_apply_factor`` with its sign flipped or its pass order reversed,
-    in the forward and the inverse direction alike."""
-    def apply(c, d, kind, inverse=False):
-        sign = 1 if inverse == flip_sign else -1
-        bottom_up = ((kind == POLYNOMIAL) != inverse) != reverse
+    """An ``_apply_factor`` with its sign flipped or its pass order reversed."""
+    def apply(c, d, kind):
+        sign = 1 if flip_sign else -1
+        bottom_up = (kind == EXTERIOR) != reverse
         for i in range(d, len(c)) if bottom_up else range(len(c) - 1, d - 1, -1):
             c[i] += sign * c[i - d]
     return apply
 
 
-def _kinds_swapped(c, d, kind, inverse=False):
+def _kinds_swapped(c, d, kind):
     """The real ``_apply_factor`` with the kinds swapped.  There the kind only
     picks the pass direction, so this computes what the reversed mutant does,
     through the real code."""
-    swapped = EXTERIOR if kind == POLYNOMIAL else POLYNOMIAL
-    _apply_factor(c, d, swapped, inverse)
+    _apply_factor(c, d, EXTERIOR if kind == POLYNOMIAL else POLYNOMIAL)
 
 
 def _first_kind_swapped(p, n):
@@ -245,6 +266,60 @@ STEENROD_MUTANTS = {
 @pytest.mark.parametrize("p,n", [(2, 40), (3, 60)])
 @pytest.mark.parametrize("mutant", STEENROD_MUTANTS)
 def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, mutant, p, n):
-    monkeypatch.setattr(*STEENROD_MUTANTS[mutant])
+    owner, name, replacement = STEENROD_MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, replacement)
     assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # The forward kernel of the identity does not run the inverse passes, so
+    # the identity sees their mutants; both sides read one Milnor set, so only
+    # the other checks see a wrong set.
+    assert ("FAIL  tensor_identity" if name == "_apply_factor" else "FAIL") in out
+
+
+def _forward(skip_class=False, block_offset=0, exterior_shift=0):
+    """``multiply_over_generators`` with one fault: residue class 0 of a
+    prefix-summed polynomial factor skipped, each block added from one degree
+    higher, or an exterior factor shifted by d - 1 (not applied for d = 1)."""
+    def multiply(series, gens):
+        c = list(series.coefficients)
+        n = len(c) - 1
+        for d, kind in ((g.degree, g.kind) for g in gens if g.degree <= n):
+            if kind == EXTERIOR:
+                s = d - exterior_shift
+                if s:
+                    c[s:] = map(add, c[s:], c[:-s])
+            elif d * d <= n:
+                for r in range(skip_class, d):
+                    c[r::d] = accumulate(c[r::d])
+            else:
+                for k in range(d, n + 1, d):
+                    lo = k - d + block_offset
+                    c[k:k + d] = map(add, c[k:k + d], c[lo:lo + d])
+        return TruncatedSeries(n, tuple(c))
+    return multiply
+
+
+FORWARD_MUTANTS = {
+    "skipped_class": _forward(skip_class=True),
+    "block_offset": _forward(block_offset=1),
+    "exterior_shift": _forward(exterior_shift=1),
+}
+
+
+# p = 2 has no exterior Milnor generator, so the exterior mutant runs at odd
+# primes only.
+@pytest.mark.parametrize("mutant,p,n", [
+    ("skipped_class", 2, 40), ("skipped_class", 3, 60),
+    ("block_offset", 2, 40), ("block_offset", 3, 60),
+    ("exterior_shift", 3, 60), ("exterior_shift", 5, 100),
+])
+def test_tensor_identity_fails_under_mutants_of_the_forward_kernel(
+    monkeypatch, capsys, mutant, p, n
+):
+    # Without its fault the copy is the kernel, on the inputs verify gives it.
+    quo = versal.homotopy_report(p, n).homotopy_series
+    gens = milnor_generator_degrees(p, n)
+    assert _forward()(quo, gens) == multiply_over_generators(quo, gens)
+    monkeypatch.setattr(versal, "multiply_over_generators", FORWARD_MUTANTS[mutant])
+    assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
+    assert "FAIL  tensor_identity" in capsys.readouterr().out
