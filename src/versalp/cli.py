@@ -11,10 +11,9 @@ mathematical verification fails.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import versal
 from .dyer_lashof import enumerate_generators
@@ -24,7 +23,6 @@ from .primes import PRIME_LIMIT, is_prime
 from .steenrod_dual import milnor_generator_degrees
 
 
-@dataclass(frozen=True)
 class Report:
     """One subcommand's result, formatted by ``render``.
 
@@ -32,17 +30,34 @@ class Report:
     parts, except collision, which has both a basis and a witness.
     """
 
-    kind: str
-    prime: int
-    max_degree: int
-    series: tuple[int, ...]
-    assumptions: tuple[str, ...] = ()
-    scalar_name: "str | None" = None  # the single value's CSV name
-    basis: "MonomialBasis | None" = None
-    witness: "versal.CollisionWitness | None" = None
-    verdicts: "tuple[versal.Verdict, ...] | None" = None  # verify
-    homotopy: "versal.HomotopyReport | None" = None
-    cotangent: "TruncatedSeries | None" = None
+    __slots__ = ("kind", "prime", "max_degree", "series", "assumptions", "scalar_name",
+                 "basis", "witness", "verdicts", "homotopy", "cotangent")
+
+    def __init__(
+        self,
+        kind: str,
+        prime: int,
+        max_degree: int,
+        series: tuple[int, ...],
+        assumptions: tuple[str, ...] = (),
+        scalar_name: str | None = None,  # the single value's CSV name
+        basis: MonomialBasis | None = None,
+        witness: versal.CollisionWitness | None = None,
+        verdicts: tuple[versal.Verdict, ...] | None = None,  # verify
+        homotopy: versal.HomotopyReport | None = None,
+        cotangent: TruncatedSeries | None = None,
+    ) -> None:
+        self.kind = kind
+        self.prime = prime
+        self.max_degree = max_degree
+        self.series = series
+        self.assumptions = assumptions
+        self.scalar_name = scalar_name
+        self.basis = basis
+        self.witness = witness
+        self.verdicts = verdicts
+        self.homotopy = homotopy
+        self.cotangent = cotangent
 
     @property
     def failed(self) -> bool:
@@ -153,28 +168,27 @@ def _table(r: Report) -> list[str]:
     return lines
 
 
-# The C string encoder where the interpreter has one.
-_encode_string = json.encoder.encode_basestring_ascii
-
-
 def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)`` for dicts with string keys, lists,
     tuples and scalars.  Any indent makes the standard library fall back to
     its pure-Python encoder; here a list of strings is encoded in one pass
-    of the C string encoder, and only mixed lists, dicts and other scalars
-    take the slower path."""
+    of the C string encoder (where the interpreter has one), and only mixed
+    lists, dicts and other scalars take the slower path."""
+    import json  # only JSON output pays for loading the package
+
+    encode = json.encoder.encode_basestring_ascii
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = (f"{_encode_string(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        items = (f"{encode(k)}: {_json_text(v, inner)}" for k, v in value.items())
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         separator = ",\n" + inner
         try:
-            body = separator.join(map(_encode_string, value))
+            body = separator.join(map(encode, value))
         except TypeError:  # not all strings
             body = separator.join(_json_text(v, inner) for v in value)
         return "[\n" + inner + body + "\n" + indent + "]"
@@ -347,24 +361,41 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 1
 
     text = render(report, args.format)
-    if args.output is None:
-        # The UTF-8 bytes --output writes, whatever the locale's encoding.
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:
-            sys.stdout.write(text)
+    try:
+        if args.output is None:
+            _write_stdout(text)
         else:
-            sys.stdout.flush()
-            buffer.write(text.encode("utf-8"))
-    else:
-        try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            message = f"versalp: error: cannot write {args.output}: {reason}"
-            print(message, file=sys.stderr)
-            return 1
+    except OSError as exc:
+        target = "stdout" if args.output is None else args.output
+        print(f"versalp: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 2 if report.failed else 0
+
+
+def _write_stdout(text: str) -> None:
+    """``text`` on stdout as the UTF-8 bytes --output writes, whatever the
+    locale's encoding, flushed, so that a failed write raises OSError here.
+
+    After a failure, file descriptor 1 points at the null device: the
+    interpreter flushes stdout again at exit, and the bytes the stream still
+    holds must not fail a second time."""
+    out = sys.stdout
+    try:
+        buffer = getattr(out, "buffer", None)
+        if buffer is None:
+            out.write(text)
+            out.flush()
+        else:
+            out.flush()
+            buffer.write(text.encode("utf-8"))
+            buffer.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, out.fileno())
+        os.close(null)
+        raise
 
 
 if __name__ == "__main__":

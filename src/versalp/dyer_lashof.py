@@ -9,18 +9,17 @@ give p-th powers and reappear as monomials, not generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import count, product
 from operator import add
-from typing import Sequence
 
 from .free_algebra import Generator, GeneratorSet
 from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, product_over_counts
 from .primes import require_prime
+from .value import Value
 
 
-@dataclass(frozen=True)
-class AdmissibleWord:
+class AdmissibleWord(Value):
     """For p = 2 the entries are positive integers i_1..i_k with
     i_j <= 2 i_{j+1}; for odd p they are pairs (eps_j, s_j) with eps in
     {0, 1}, s_j >= 1 and s_j <= p*s_{j+1} - eps_{j+1}.  The empty word is
@@ -32,13 +31,15 @@ class AdmissibleWord:
     'bQ^2 a'
     """
 
+    __slots__ = ("prime", "entries")
+
     prime: int
     entries: tuple
 
-    def __post_init__(self) -> None:
-        require_prime(self.prime)
-        entries = tuple(self.entries)
-        if self.prime == 2:
+    def __init__(self, prime: int, entries: Sequence) -> None:
+        require_prime(prime)
+        entries = tuple(entries)
+        if prime == 2:
             for i in entries:
                 if not isinstance(i, int) or i < 1:
                     raise ValueError(f"p=2 entries must be positive integers, got {i!r}")
@@ -51,8 +52,9 @@ class AdmissibleWord:
                 if eps not in (0, 1) or s < 1:
                     raise ValueError(f"bad odd-prime entry ({eps}, {s})")
             for j in range(len(entries) - 1):
-                if entries[j][1] > self.prime * entries[j + 1][1] - entries[j + 1][0]:
+                if entries[j][1] > prime * entries[j + 1][1] - entries[j + 1][0]:
                     raise ValueError(f"inadmissible word {entries}")
+        object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -9,46 +9,51 @@ the per-generator factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterator
 
 from .power_series import EXTERIOR, KINDS, POLYNOMIAL, TruncatedSeries, product_over_generators
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Value):
+    __slots__ = ("label", "degree", "kind")
+
     label: str
     degree: int
     kind: str
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, degree: int, kind: str) -> None:
+        if not label:
             raise ValueError("generator label must be nonempty")
-        if self.degree < 1:
-            raise ValueError(f"generator degree must be >= 1, got {self.degree}")
-        if self.kind not in KINDS:
-            raise ValueError(f"generator kind must be one of {KINDS}, got {self.kind!r}")
+        if degree < 1:
+            raise ValueError(f"generator degree must be >= 1, got {degree}")
+        if kind not in KINDS:
+            raise ValueError(f"generator kind must be one of {KINDS}, got {kind!r}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "kind", kind)
 
 
 def _generator_key(g: Generator) -> tuple[int, str]:
     return (g.degree, g.label)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Value):
     """Canonically ordered by (degree, label); labels must be distinct."""
+
+    __slots__ = ("entries",)
 
     entries: tuple[Generator, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(sorted(self.entries, key=_generator_key))
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable[Generator]) -> None:
+        entries = tuple(sorted(entries, key=_generator_key))
         seen: set[str] = set()
         for g in entries:
             if g.label in seen:
                 raise ValueError(f"duplicate generator label {g.label!r}")
             seen.add(g.label)
+        object.__setattr__(self, "entries", entries)
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.entries)
@@ -60,8 +65,7 @@ class GeneratorSet:
         return GeneratorSet(self.entries + other.entries)
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Value):
     """Product of generator powers; factors in (degree, label) order.
 
     The empty monomial is the algebra unit and renders as "1".  Every
@@ -69,11 +73,13 @@ class Monomial:
     generator) and the strict factor order.
     """
 
+    __slots__ = ("factors",)
+
     factors: tuple[tuple[Generator, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[Generator, int], ...]) -> None:
         last = None
-        for g, e in self.factors:
+        for g, e in factors:
             if e < 1:
                 raise ValueError("monomial exponents must be >= 1")
             if g.kind == EXTERIOR and e > 1:
@@ -82,6 +88,7 @@ class Monomial:
             if last is not None and key <= last:
                 raise ValueError("monomial factors must be strictly (degree, label) ordered")
             last = key
+        object.__setattr__(self, "factors", factors)
 
     @property
     def degree(self) -> int:
@@ -111,8 +118,7 @@ def _piece(g: Generator, e: int) -> str:
     return f"{g.label}^{e}"
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+class MonomialBasis(Value):
     """Monomials of degrees 0..N by degree.
 
     ``names[d]`` lists the rendered monomials of degree d and is built
@@ -121,9 +127,21 @@ class MonomialBasis:
     the same recurrence on first read.
     """
 
+    # cached_property stores ``buckets`` in ``__dict__``, which is no field.
+    __slots__ = ("generators", "truncation_degree", "names", "__dict__")
+
     generators: GeneratorSet
     truncation_degree: int
     names: tuple[tuple[str, ...], ...]
+
+    def __init__(self, generators: GeneratorSet, truncation_degree: int,
+                 names: tuple[tuple[str, ...], ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "truncation_degree", truncation_degree)
+        object.__setattr__(self, "names", names)
+
+    def _fields(self) -> tuple:
+        return (self.generators, self.truncation_degree, self.names)
 
     @cached_property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:

@@ -8,13 +8,14 @@ loudly instead of silently re-truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, Iterable, Sequence
 
-if TYPE_CHECKING:
-    from .free_algebra import Generator
+from .value import Value
+
+# Annotations are not evaluated, so "Generator" names free_algebra.Generator
+# without importing that module, which imports this one.
 
 # Generator kinds: of degree d, a polynomial one gives 1/(1 - t^d), an exterior one 1 + t^d.
 POLYNOMIAL = "polynomial"
@@ -26,8 +27,7 @@ class VerificationError(Exception):
     """A mathematical consistency check failed; no report may be emitted."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """c_0 + c_1 t + ... + c_N t^N with N = truncation_degree.
 
     >>> TruncatedSeries.from_coefficients([1], 3).coefficients
@@ -38,19 +38,22 @@ class TruncatedSeries:
     (1, 0, -1)
     """
 
+    __slots__ = ("truncation_degree", "coefficients")
+
     truncation_degree: int
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.truncation_degree < 0:
+    def __init__(self, truncation_degree: int, coefficients: Iterable[int]) -> None:
+        if truncation_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        if not isinstance(self.coefficients, tuple):
-            object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if len(self.coefficients) != self.truncation_degree + 1:
+        coefficients = tuple(coefficients)
+        if len(coefficients) != truncation_degree + 1:
             raise ValueError(
-                f"need exactly {self.truncation_degree + 1} coefficients, "
-                f"got {len(self.coefficients)}"
+                f"need exactly {truncation_degree + 1} coefficients, "
+                f"got {len(coefficients)}"
             )
+        object.__setattr__(self, "truncation_degree", truncation_degree)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def from_coefficients(

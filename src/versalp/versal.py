@@ -10,7 +10,6 @@ integers, and the bordism structure-map collision at p = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .dyer_lashof import enumerate_generators, generator_series
@@ -19,6 +18,7 @@ from .power_series import TruncatedSeries, VerificationError
 from .power_series import multiply_over_generators, quotient_over_generators
 from .primes import require_prime
 from .steenrod_dual import milnor_generator_degrees
+from .value import Value
 
 # Homotopy entries are F_p dimensions; reading the degree-n entry as the
 # n-th homotopy group relies on the additive splitting into graded
@@ -51,17 +51,27 @@ def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
     return series_of(milnor_generator_degrees(p, max_degree), max_degree)
 
 
-@dataclass(frozen=True)
 class HomotopyReport:
-    prime: int
-    truncation_degree: int
-    homology_series: TruncatedSeries
-    steenrod_series: TruncatedSeries
-    homotopy_series: TruncatedSeries
-    gap_verified: bool
-    first_positive_nonzero_degree: "int | None"
-    nonnegative: bool
-    tensor_identity: bool
+    """The series of ``homotopy_report`` and the outcome of each identity."""
+
+    __slots__ = ("prime", "truncation_degree", "homology_series", "steenrod_series",
+                 "homotopy_series", "gap_verified", "first_positive_nonzero_degree",
+                 "nonnegative", "tensor_identity")
+
+    def __init__(self, prime: int, truncation_degree: int,
+                 homology_series: TruncatedSeries, steenrod_series: TruncatedSeries,
+                 homotopy_series: TruncatedSeries, gap_verified: bool,
+                 first_positive_nonzero_degree: int | None, nonnegative: bool,
+                 tensor_identity: bool) -> None:
+        self.prime = prime
+        self.truncation_degree = truncation_degree
+        self.homology_series = homology_series
+        self.steenrod_series = steenrod_series
+        self.homotopy_series = homotopy_series
+        self.gap_verified = gap_verified
+        self.first_positive_nonzero_degree = first_positive_nonzero_degree
+        self.nonnegative = nonnegative
+        self.tensor_identity = tensor_identity
 
 
 def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
@@ -192,17 +202,17 @@ def hz_quotient_comparison(p: int, max_degree: int) -> int:
     return _first_difference(homology_series(p, max_degree))
 
 
-@dataclass(frozen=True)
 class CollisionWitness:
-    source_monomials: tuple[Monomial, Monomial]
-    image: str
+    __slots__ = ("source_monomials", "image")
 
-    def __post_init__(self) -> None:
-        first, second = self.source_monomials
+    def __init__(self, source_monomials: tuple[Monomial, Monomial], image: str) -> None:
+        first, second = source_monomials
         if first == second:
             raise ValueError("collision sources must be distinct")
         if first.degree != 4 or second.degree != 4:
             raise ValueError("collision sources must live in degree 4")
+        self.source_monomials = source_monomials
+        self.image = image
 
 
 # Stored relations for the structure map to unoriented bordism at p = 2:
@@ -240,11 +250,17 @@ def structure_map_collision() -> CollisionWitness:
     return CollisionWitness((q3a, a4), image_q3a)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
+    __slots__ = ("name", "passed", "detail")
+
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _verdict_from(name: str, thunk) -> Verdict:

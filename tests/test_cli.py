@@ -267,6 +267,33 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [("homology", "--prime", "2", "--max-degree", "3"),
+                                  ("basis", "--prime", "3", "--max-degree", "40")])
+def test_unwritable_stdout_exits_1(argv, unbuffered):
+    # Short text stays in a buffered stdout until the flush; long text is
+    # written at once; PYTHONUNBUFFERED writes without a buffer.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "versalp.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=60)
+    reason = os.strerror(errno.ENOSPC)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"versalp: error: cannot write stdout: {reason}\n"
+
+
+def test_cli_import_loads_no_dataclasses_json_or_typing():
+    # Each of these costs every CLI launch milliseconds before any report.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import sys, versalp.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 def test_homotopy_table_snapshot(capsys):
     code, out, err = run(capsys, "homotopy", "--prime", "2", "--max-degree", "8")
     assert code == 0
@@ -376,10 +403,11 @@ def test_each_monomial_rendered_once(monkeypatch, capsys, fmt):
 
 
 def test_listing_reports_build_no_monomial(monkeypatch, capsys):
-    def never(monomial):
+    def never(monomial, factors):
         raise AssertionError("built a Monomial for a report that prints names")
 
-    monkeypatch.setattr(Monomial, "__post_init__", never)
+    # Monomial.__init__ validates every Monomial built.
+    monkeypatch.setattr(Monomial, "__init__", never)
     for argv in (["basis", "--prime", "3", "--max-degree", "40"],
                  ["steenrod", "--prime", "5", "--max-degree", "60"]):
         for fmt in ("table", "json", "csv"):
