@@ -17,7 +17,8 @@ from collections.abc import Callable, Sequence
 
 from . import versal
 from .dyer_lashof import enumerate_generators
-from .free_algebra import GeneratorSet, MonomialBasis, enumerate_monomials
+# bench/tracing.py wraps enumerate_monomials under this module's name.
+from .free_algebra import GeneratorSet, enumerate_monomials, list_names  # noqa: F401
 from .power_series import TruncatedSeries
 from .primes import PRIME_LIMIT, is_prime
 from .steenrod_dual import milnor_generator_degrees
@@ -27,11 +28,13 @@ class Report:
     """One subcommand's result, formatted by ``render``.
 
     Every report has the envelope fields and at most one of the optional
-    parts, except collision, which has both a basis and a witness.
+    parts, except collision, which has both a basis and a witness.  A listing
+    report holds the generators of its basis, which ``render`` lists in the
+    output's encoding.
     """
 
     __slots__ = ("kind", "prime", "max_degree", "series", "assumptions", "scalar_name",
-                 "basis", "witness", "verdicts", "homotopy", "cotangent")
+                 "generators", "witness", "verdicts", "homotopy", "cotangent")
 
     def __init__(
         self,
@@ -41,7 +44,7 @@ class Report:
         series: tuple[int, ...],
         assumptions: tuple[str, ...] = (),
         scalar_name: str | None = None,  # the single value's CSV name
-        basis: MonomialBasis | None = None,
+        generators: GeneratorSet | None = None,  # basis, steenrod, collision
         witness: versal.CollisionWitness | None = None,
         verdicts: tuple[versal.Verdict, ...] | None = None,  # verify
         homotopy: versal.HomotopyReport | None = None,
@@ -53,7 +56,7 @@ class Report:
         self.series = series
         self.assumptions = assumptions
         self.scalar_name = scalar_name
-        self.basis = basis
+        self.generators = generators
         self.witness = witness
         self.verdicts = verdicts
         self.homotopy = homotopy
@@ -72,20 +75,46 @@ def _sources(witness: versal.CollisionWitness) -> list[str]:
     return [m.render() for m in witness.source_monomials]
 
 
-def _json(r: Report) -> dict:
-    """The envelope: prime, max_degree, kind, series, then basis, witness and
-    the verify verdicts, assumptions, and last the homotopy verdicts or the
-    cotangent series."""
+def _names(r: Report, encode=str) -> list[list[str]] | None:
+    """The basis of a listing report in degrees 0..N, each name in the
+    string encoding ``encode``, after checking that every degree holds as
+    many names as the series says: the two are computed independently, from
+    generator counts and from the listing.  Raises VerificationError, before
+    anything is written, when they disagree.  None for other reports."""
+    if r.generators is None:
+        return None
+    names = list_names(r.generators, r.max_degree, encode)
+    for d, (bucket, expected) in enumerate(zip(names, r.series)):
+        if len(bucket) != expected:
+            raise versal.VerificationError(
+                f"{r.kind} lists {len(bucket)} monomials in degree {d}, the series says {expected}"
+            )
+    return names
+
+
+class _Escaped:
+    """Strings already JSON-escaped, without their quotes: ``_json_text``
+    writes them as a list of strings without escaping them again."""
+
+    __slots__ = ("strings",)
+
+    def __init__(self, strings: list[str]) -> None:
+        self.strings = strings
+
+
+def _json(r: Report, names: list[list[str]] | None) -> dict:
+    """The envelope: prime, max_degree, kind, series, then basis (``names``,
+    JSON-escaped), witness and the verify verdicts, assumptions, and last
+    the homotopy verdicts or the cotangent series."""
     out = {
         "prime": r.prime,
         "max_degree": r.max_degree,
         "kind": r.kind,
         "series": _strings(r.series),
     }
-    if r.basis is not None:
+    if names is not None:
         out["basis"] = [
-            {"degree": d, "monomials": bucket}
-            for d, bucket in enumerate(r.basis.names)
+            {"degree": d, "monomials": _Escaped(bucket)} for d, bucket in enumerate(names)
         ]
     if r.witness is not None:
         out["witness"] = {"sources": _sources(r.witness), "image": r.witness.image}
@@ -106,7 +135,7 @@ def _json(r: Report) -> dict:
     return out
 
 
-def _csv(r: Report) -> list[str]:
+def _csv(r: Report, names: list[list[str]] | None) -> list[str]:
     """Lines of the CSV form, header first.
 
     No field ever holds a comma, a double quote, a carriage return or a
@@ -125,9 +154,9 @@ def _csv(r: Report) -> list[str]:
         return ["name,value", *lines, f"image,{r.witness.image}"]
     if r.scalar_name is not None:
         return ["name,value", f"{r.scalar_name},{r.series[0]}"]
-    if r.basis is not None:
+    if names is not None:
         lines = ["degree,monomial"]
-        for d, bucket in enumerate(r.basis.names):
+        for d, bucket in enumerate(names):
             if bucket:
                 # One string per degree: every row of the bucket at once.
                 prefix = f"{d},"
@@ -136,7 +165,7 @@ def _csv(r: Report) -> list[str]:
     return ["degree,coefficient"] + [f"{d},{c}" for d, c in enumerate(r.series)]
 
 
-def _table(r: Report) -> list[str]:
+def _table(r: Report, names: list[list[str]] | None) -> list[str]:
     if r.verdicts is not None:
         return [
             f"{'PASS' if v.passed else 'FAIL'}  {v.name}"
@@ -148,10 +177,9 @@ def _table(r: Report) -> list[str]:
         return lines + [f"image   {r.witness.image}"]
     if r.scalar_name is not None:
         return [str(r.series[0])]
-    if r.basis is not None:
+    if names is not None:
         return ["degree  monomials"] + [
-            f"{d:>6}  {', '.join(bucket) or '-'}"
-            for d, bucket in enumerate(r.basis.names)
+            f"{d:>6}  {', '.join(bucket) or '-'}" for d, bucket in enumerate(names)
         ]
     lines = ["degree  coefficient"]
     lines += [f"{d:>6}  {c}" for d, c in enumerate(r.series)]
@@ -168,40 +196,68 @@ def _table(r: Report) -> list[str]:
     return lines
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for dicts with string keys, lists,
-    tuples and scalars.  Any indent makes the standard library fall back to
-    its pure-Python encoder; here a list of strings is encoded in one pass
-    of the C string encoder (where the interpreter has one), and only mixed
-    lists, dicts and other scalars take the slower path."""
+def _json_text(value, end: str = "") -> str:
+    """``json.dumps(value, indent=2) + end`` for dicts with string keys,
+    lists, tuples, scalars and ``_Escaped`` lists.  Any indent makes the
+    standard library fall back to its pure-Python encoder; here a list of
+    strings is encoded in one pass of the C string encoder (where the
+    interpreter has one), an ``_Escaped`` list is joined as it is, and only
+    mixed lists, dicts and other scalars take the slower path.  The parts
+    are joined once, at the end."""
     import json  # only JSON output pays for loading the package
 
-    encode = json.encoder.encode_basestring_ascii
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{encode(k)}: {_json_text(v, inner)}" for k, v in value.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        separator = ",\n" + inner
-        try:
-            body = separator.join(map(encode, value))
-        except TypeError:  # not all strings
-            body = separator.join(_json_text(v, inner) for v in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(value)
+    encode, dumps = json.encoder.encode_basestring_ascii, json.dumps
+    parts: list[str] = []
+
+    def emit(value, newline: str) -> None:
+        inner = newline + "  "
+        if isinstance(value, _Escaped):
+            if value.strings:
+                body = ('",' + inner + '"').join(value.strings)
+                parts.extend(("[", inner, '"', body, '"', newline, "]"))
+            else:
+                parts.append("[]")
+        elif isinstance(value, dict) and value:
+            opening = "{"
+            for k, v in value.items():
+                parts.extend((opening, inner, encode(k), ": "))
+                emit(v, inner)
+                opening = ","
+            parts.extend((newline, "}"))
+        elif isinstance(value, (list, tuple)) and value:
+            try:
+                parts.extend(("[", inner, ("," + inner).join(map(encode, value)), newline, "]"))
+            except TypeError:  # not all strings
+                opening = "["
+                for v in value:
+                    parts.extend((opening, inner))
+                    emit(v, inner)
+                    opening = ","
+                parts.extend((newline, "]"))
+        else:
+            parts.append(dumps(value))
+
+    emit(value, "\n")
+    parts.append(end)
+    return "".join(parts)
 
 
 def render(report: Report, fmt: str) -> str:
-    """``report`` as table, json or csv text; only that form is built."""
+    """``report`` as table, json or csv text; only that form is built.  A
+    listing report lists its basis once, in that form's encoding: JSON
+    escaping maps each character on its own, so escaping each piece of a
+    name once escapes every name that holds it.  Raises VerificationError
+    when the listing disagrees with the series."""
     if fmt == "json":
-        return _json_text(_json(report)) + "\n"
-    if fmt == "csv":
-        return "\n".join(_csv(report)) + "\n"
-    return "\n".join(_table(report)) + "\n"
+        import json  # only JSON output pays for loading the package
+
+        encode = json.encoder.encode_basestring_ascii
+        names = _names(report, lambda s: encode(s)[1:-1])
+        return _json_text(_json(report, names), "\n")
+    names = _names(report)
+    lines = _csv(report, names) if fmt == "csv" else _table(report, names)
+    lines.append("")
+    return "\n".join(lines)
 
 
 # Most monomials a listing report may hold; the series gives the exact count
@@ -222,10 +278,8 @@ class ListingTooLarge(Exception):
 
 def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries,
                 generators: Callable[[], GeneratorSet], **parts) -> Report:
-    """A listing report, after checking that the listing has as many
-    monomials in each degree as the series says: the two are computed
-    independently, from generator counts and from enumerated monomials.
-    Raises ListingTooLarge, before building the generators or listing, when
+    """A listing report, whose basis ``render`` lists and checks against the
+    series.  Raises ListingTooLarge, before building the generators, when
     the series predicts more than MAX_LISTED_MONOMIALS monomials; each
     generator is a monomial, so ``generators()`` then builds no more."""
     predicted = sum(series.coefficients)
@@ -234,13 +288,7 @@ def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries,
             f"{kind} through degree {n} would list {predicted} monomials,"
             f" more than the limit of {MAX_LISTED_MONOMIALS}"
         )
-    basis = enumerate_monomials(generators(), n)
-    for d, (listed, expected) in enumerate(zip(basis.dimensions(), series.coefficients)):
-        if listed != expected:
-            raise versal.VerificationError(
-                f"{kind} lists {listed} monomials in degree {d}, the series says {expected}"
-            )
-    return Report(kind, p, n, series.coefficients, basis=basis, **parts)
+    return Report(kind, p, n, series.coefficients, generators=generators(), **parts)
 
 
 def _homotopy(p: int, n: int) -> Report:
@@ -353,6 +401,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
     try:
         report = COMMANDS[args.command](args.prime, n)
+        text = render(report, args.format)
     except versal.VerificationError as exc:
         print(f"versalp: verification failed: {exc}", file=sys.stderr)
         return 2
@@ -360,13 +409,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"versalp: error: {exc}", file=sys.stderr)
         return 1
 
-    text = render(report, args.format)
     try:
         if args.output is None:
             _write_stdout(text)
         else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            # Binary, so no platform's newline translation touches the bytes.
+            with open(args.output, "wb") as fh:
+                fh.write(text.encode("utf-8"))
     except OSError as exc:
         target = "stdout" if args.output is None else args.output
         print(f"versalp: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

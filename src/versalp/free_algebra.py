@@ -145,7 +145,7 @@ class MonomialBasis(Value):
 
     @cached_property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
-        listing = _listing(self.generators, self.truncation_degree, (), _factor, _factor)
+        listing = _listing(self.generators, self.truncation_degree, (), _factor, _same)
         return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
@@ -167,15 +167,16 @@ def _factor(g: Generator, e: int) -> tuple[tuple[Generator, int], ...]:
     return ((g, e),)
 
 
-def _joining_piece(g: Generator, e: int) -> str:
-    return _piece(g, e) + "·"
+def _same(x):
+    return x
 
 
-def _listing(gens: GeneratorSet, n: int, unit, power, prefix) -> list[list]:
+def _listing(gens: GeneratorSet, n: int, unit, power, joined) -> list[list]:
     """The basis in degrees 0..n, one element per monomial: ``unit`` for the
-    empty monomial, ``power(g, e)`` for g^e alone, and ``prefix(g, e) + rest``
-    for g^e times a monomial ``rest`` in later generators.  Strings (names)
-    and factor tuples both fit.
+    empty monomial, ``power(g, e)`` for g^e alone, and ``joined(power(g, e))
+    + rest`` for g^e times a monomial ``rest`` in later generators.  Strings
+    (names) and factor tuples both fit.  ``power`` and ``joined`` run once
+    per (generator, exponent), never per monomial.
 
     The fold of series_of over lists: after folding the generators from
     position i on, buckets[t] holds their products of degree t.  Prepending
@@ -189,7 +190,7 @@ def _listing(gens: GeneratorSet, n: int, unit, power, prefix) -> list[list]:
         top = 1 if exterior else n // d
         # One element per exponent, shared by every monomial that has it.
         powers = [power(g, e) for e in range(1, top + 1)]
-        prepends = [prefix(g, e).__add__ for e in range(1, top + 1)]
+        prepends = [joined(x).__add__ for x in powers]
         for t in range(n, d - 1, -1):
             # t <= n, so t // d never exceeds top for a polynomial generator.
             hi = 1 if exterior else t // d
@@ -207,6 +208,22 @@ def _listing(gens: GeneratorSet, n: int, unit, power, prefix) -> list[list]:
     return buckets
 
 
+def list_names(gens: GeneratorSet, truncation_degree: int, encode=str) -> list[list[str]]:
+    """The names of ``enumerate_monomials(gens, truncation_degree)``, bucket
+    by bucket in the same order, each in the string encoding ``encode``.
+
+    ``encode`` must carry concatenation over (``encode(x + y) == encode(x) +
+    encode(y)``), as an escape applied character by character does: it runs
+    only on the unit, the ``·`` joiner and each (generator, exponent) piece,
+    and every name is a concatenation of those.
+    """
+    if truncation_degree < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {truncation_degree}")
+    joiner = encode("·")
+    return _listing(gens, truncation_degree, encode("1"),
+                    lambda g, e: encode(_piece(g, e)), lambda x: x + joiner)
+
+
 def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialBasis:
     """Complete additive basis in degrees 0..N, bucketed by degree.
 
@@ -215,9 +232,7 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     powers of the lowest generator come first.  Only the names are built
     here; the ``Monomial``s wait for the first read of ``buckets``.
     """
-    if truncation_degree < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {truncation_degree}")
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))
-    names = _listing(gens, truncation_degree, "1", _piece, _joining_piece)
+    names = list_names(gens, truncation_degree)
     return MonomialBasis(gens, truncation_degree, tuple(map(tuple, names)))

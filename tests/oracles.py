@@ -245,10 +245,11 @@ def milnor_degrees_by_membership(p, n):
     return out
 
 
-def csv_reference(report):
+def csv_reference(report, basis=None):
     """A CLI report's CSV form written by ``csv.writer``, one row per degree
-    and monomial, witness part, scalar, verdict or coefficient, from the
-    report's fields."""
+    and monomial, witness part, scalar, verdict or coefficient: the monomial
+    rows from the names of ``basis``, a ``MonomialBasis``, the others from
+    the report's fields."""
     if report.verdicts is not None:
         header = ("check", "passed")
         rows = [(v.name, str(v.passed).lower()) for v in report.verdicts]
@@ -260,9 +261,9 @@ def csv_reference(report):
     elif report.scalar_name is not None:
         header = ("name", "value")
         rows = [(report.scalar_name, report.series[0])]
-    elif report.basis is not None:
+    elif basis is not None:
         header = ("degree", "monomial")
-        rows = [(d, s) for d, bucket in enumerate(report.basis.names) for s in bucket]
+        rows = [(d, s) for d, bucket in enumerate(basis.names) for s in bucket]
     else:
         header = ("degree", "coefficient")
         rows = list(enumerate(report.series))

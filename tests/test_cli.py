@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators
-from versalp.free_algebra import Monomial, enumerate_monomials
+from versalp.free_algebra import EXTERIOR, Monomial, enumerate_monomials
 from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import VerificationError
 
@@ -23,6 +23,37 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The generators each listing report lists, by subcommand; collision is
+# pinned at p = 2, degree 4.
+LISTED = {
+    "basis": lambda p, n: enumerate_generators(p, 1, n),
+    "steenrod": milnor_generator_degrees,
+    "collision": lambda p, n: enumerate_generators(2, 1, 4),
+}
+
+
+def canonical_document(command, p, n):
+    """A listing report's JSON envelope as plain JSON values, its basis the
+    canonical names of ``enumerate_monomials``."""
+    if command == "collision":
+        p, n = 2, 4
+    series = versal.steenrod_series(p, n) if command == "steenrod" else versal.homology_series(p, n)
+    names = enumerate_monomials(LISTED[command](p, n), n).names
+    document = {
+        "prime": p,
+        "max_degree": n,
+        "kind": command,
+        "series": [str(c) for c in series.coefficients],
+        "basis": [{"degree": d, "monomials": list(b)} for d, b in enumerate(names)],
+    }
+    if command == "collision":
+        witness = versal.structure_map_collision()
+        sources = [m.render() for m in witness.source_monomials]
+        document["witness"] = {"sources": sources, "image": witness.image}
+    document["assumptions"] = []
+    return document
 
 
 def test_homotopy_csv_snapshot(capsys):
@@ -221,6 +252,25 @@ def test_output_flag_writes_identical_bytes(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+def test_output_file_bytes_pass_no_newline_translation(tmp_path, monkeypatch, capsys):
+    # A text-mode file on a platform whose line separator is \r\n would
+    # write \r\n for every \n; this open translates text mode that way.
+    modes = []
+
+    def opening(path, mode="r", *args, **kwargs):
+        modes.append(mode)
+        if "b" not in mode:
+            kwargs["newline"] = "\r\n"
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    target = tmp_path / "basis.csv"
+    argv = ["basis", "--prime", "2", "--format", "csv"]
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert modes == ["wb"]
+    assert target.read_bytes() == run(capsys, *argv)[1].encode("utf-8")
 
 
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
@@ -423,6 +473,53 @@ def test_listing_reports_build_no_monomial(monkeypatch, capsys):
     assert [len(b) for b in basis.buckets] == basis.dimensions()
 
 
+# Every listing report, basis up to a few degrees over its default.
+JSON_LISTINGS = [
+    ("basis", p, n) for p in (2, 3, 5) for n in range(4 * (p - 1) + 5)
+] + [("steenrod", p, n) for p in (2, 3, 5) for n in (4 * (p - 1), 60)] + [("collision", 2, 4)]
+
+
+def test_json_listings_equal_json_dumps_of_the_canonical_names(capsys):
+    seen = set()
+    for command, p, n in JSON_LISTINGS:
+        argv = [command] if command == "collision" else [command, "--prime", str(p),
+                                                        "--max-degree", str(n)]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        document = canonical_document(command, p, n)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(document, indent=2) + "\n", argv
+        for entry in document["basis"]:
+            seen.update(entry["monomials"] or ["(empty bucket)"])
+    assert {"(empty bucket)", "(bQ^1 a)^2", "a\u00b7Q^2 a"} <= seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--prime", "2", "--max-degree", "27"],
+    ["basis", "--prime", "3", "--max-degree", "58"],
+    ["steenrod", "--prime", "2", "--max-degree", "60"],
+], ids=" ".join)
+def test_json_listing_escapes_each_piece_once(monkeypatch, capsys, argv):
+    calls = []
+    encode = json.encoder.encode_basestring_ascii
+
+    def counted(s):
+        calls.append(s)
+        return encode(s)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", counted)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    p, n = int(argv[2]), int(argv[4])
+    gens = LISTED[argv[0]](p, n)
+    pieces = sum(1 if g.kind == EXTERIOR else n // g.degree for g in gens)
+    monomials = sum(map(len, enumerate_monomials(gens, n).names))
+    # One call per (generator, exponent) piece, the unit and the joiner, and
+    # the envelope's keys and series strings, which grow with N, not with
+    # the number of monomials listed.
+    envelope = 3 * (n + 1) + 10
+    assert len(calls) <= pieces + 2 + envelope < monomials / 4, (len(calls), monomials)
+
+
 # JSON values of the kinds reports hold, and the characters the encoder must
 # escape: full-Unicode text, integers past 64 bits, bools and None, empty
 # containers, lists of strings only and lists of mixed values.
@@ -444,7 +541,7 @@ JSON_VALUES = st.recursive(
 
 @given(JSON_VALUES)
 @example({"degree": 2, "monomials": []})
-@example(cli._json(cli.COMMANDS["collision"](2, 4)))  # the collision envelope
+@example(canonical_document("collision", 2, 4))  # the collision envelope
 @example(["\u00b7", '"', "\\", "\x00\x1f\n", "\U0001f600", [], {}, 2**64 + 1, True, None])
 def test_json_text_equals_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
@@ -472,10 +569,10 @@ def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, arg
 
 
 def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, capsys):
-    def never(gens, n):
-        raise AssertionError("enumerated a listing over the limit")
+    def never(*args):
+        raise AssertionError("listed a basis over the limit")
 
-    monkeypatch.setattr(cli, "enumerate_monomials", never)
+    monkeypatch.setattr(cli, "list_names", never)
     code, out, err = run(capsys, "basis", "--prime", "2", "--max-degree", "60")
     assert code == 1
     assert out == ""
@@ -515,7 +612,8 @@ def test_csv_equals_the_csv_module_writer(capsys, argv):
     p = int(argv[2]) if len(argv) > 2 else 2
     n = int(argv[4]) if len(argv) > 4 else 4 * (p - 1)
     report = cli.COMMANDS[argv[0]](p, n)
-    assert out == csv_reference(report)
+    basis = enumerate_monomials(LISTED[argv[0]](p, n), n) if argv[0] in LISTED else None
+    assert out == csv_reference(report, basis)
 
 
 def test_generator_labels_hold_no_csv_special_character():

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from versalp.dyer_lashof import enumerate_generators
 from versalp.free_algebra import (
@@ -7,6 +9,7 @@ from versalp.free_algebra import (
     GeneratorSet,
     Monomial,
     enumerate_monomials,
+    list_names,
     series_of,
 )
 from versalp.steenrod_dual import milnor_generator_degrees
@@ -192,3 +195,38 @@ def test_names_from_the_recurrence_equal_render(gens, n):
             assert name == m.render()
             checked = Monomial(m.factors)  # the validating constructor
             assert m == checked and hash(m) == hash(checked)
+
+
+# Label characters a JSON escape changes or must keep: the quote, the
+# backslash, control characters, the joiner, non-Latin-1 and astral
+# characters; a space makes a power parenthesised.
+LABEL_CHARACTERS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", " ", "a", "\u00b7", "\u2028", "\U0001f600"]),
+    st.characters(),
+)
+
+
+@st.composite
+def escaped_label_generator_set(draw):
+    labels = draw(st.lists(st.text(LABEL_CHARACTERS, min_size=1, max_size=4),
+                           max_size=5, unique=True))
+    gens = [
+        Generator(label, draw(st.integers(min_value=1, max_value=4)),
+                  draw(st.sampled_from(["polynomial", "exterior"])))
+        for label in labels
+    ]
+    return GeneratorSet(tuple(gens)), draw(st.integers(min_value=0, max_value=8))
+
+
+@given(escaped_label_generator_set())
+@example((GeneratorSet((poly('"a b\\', 1), ext("\U0001f600\x01", 2))), 6))
+def test_names_listed_in_an_escape_equal_the_names_escaped(case):
+    gens, n = case
+    canonical = enumerate_monomials(gens, n).names
+    for encode in (json.encoder.encode_basestring_ascii, json.encoder.py_encode_basestring_ascii):
+        def escape(s):
+            return encode(s)[1:-1]
+
+        expected = [[escape(name) for name in bucket] for bucket in canonical]
+        assert list_names(gens, n, escape) == expected
+    assert list_names(gens, n) == [list(bucket) for bucket in canonical]
