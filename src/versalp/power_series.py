@@ -129,25 +129,32 @@ def _kronecker(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> lis
     Each operand becomes the one integer sum(c_i X^i) at X = 2^(8w), the two
     integers are multiplied once, and slots of w bytes are read back.  Every
     product coefficient is a sum of at most min(len(a), len(b)) terms, so
-    |c| < 2^(bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b)))); one
-    more bit lets each slot hold c + 2^(8w - 1) without carrying into the
-    next.
+    |c| < 2^(bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b)))).  When
+    both operands are nonnegative, so is every c, and slots of that many bits
+    hold them as they are; otherwise one more bit lets each slot hold
+    c + 2^(8w - 1) without carrying into the next.
     """
-    bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
+    terms = min(len(a), len(b)).bit_length()
+    size = stop - start
+    if not (any(map((0).__gt__, b)) or any(map((0).__gt__, a))):
+        w = (max(a).bit_length() + max(b).bit_length() + terms + 7) // 8
+        raw = _slots(_pack(a, w) * _pack(b, w), w, start, stop)
+        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, w * size, w)]
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + terms + 1
     w = (bits + 7) // 8
     # With 2^(8w-1) added to each of the low ``stop`` slots, each holds
-    # c + 2^(8w-1), in [0, 2^(8w)); the mask keeps those slots whatever the
-    # sign of the discarded high part.
-    low = (_pack(a, w) * _pack(b, w) + _offsets(stop, w)) & ((1 << (8 * w * stop)) - 1)
-    size = w * (stop - start)
-    raw = (low >> (8 * w * start)).to_bytes(size, "little")
+    # c + 2^(8w-1), in [0, 2^(8w)); the mask in ``_slots`` keeps those slots
+    # whatever the sign of the discarded high part.
+    product = _pack_signed(a, w) * _pack_signed(b, w) + _offsets(stop, w)
+    raw = _slots(product, w, start, stop)
     half = 1 << (8 * w - 1)
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, size, w)]
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * size, w)]
+
+
+def _slots(x: int, w: int, start: int, stop: int) -> bytes:
+    """Slots ``start`` to ``stop`` - 1 of w bytes each of ``x``, little-endian."""
+    size = w * (stop - start)
+    return ((x >> (8 * w * start)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
 
 
 def _offsets(count: int, w: int) -> int:
@@ -155,13 +162,18 @@ def _offsets(count: int, w: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
 
 
-def _pack(coeffs: Sequence[int], w: int) -> int:
+def _pack(coeffs: Iterable[int], w: int) -> int:
+    """sum(c_i 2^(8 w i)) for 0 <= c_i < 2^(8w), one slot of w bytes each."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, coeffs, repeat(w), repeat("little"))), "little"
+    )
+
+
+def _pack_signed(coeffs: Sequence[int], w: int) -> int:
     """sum(c_i 2^(8 w i)) for signed c_i with |c_i| < 2^(8w - 1): each slot
     written as c_i + 2^(8w - 1), which is nonnegative, less the offsets."""
     half = 1 << (8 * w - 1)
-    shifted = map(add, coeffs, repeat(half))
-    raw = b"".join(map(int.to_bytes, shifted, repeat(w), repeat("little")))
-    return int.from_bytes(raw, "little") - _offsets(len(coeffs), w)
+    return _pack(map(add, coeffs, repeat(half)), w) - _offsets(len(coeffs), w)
 
 
 def _check_factor(d: int, kind: str) -> None:

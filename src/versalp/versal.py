@@ -54,24 +54,31 @@ def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
 class HomotopyReport:
     """The series of ``homotopy_report`` and the outcome of each identity."""
 
-    __slots__ = ("prime", "truncation_degree", "homology_series", "steenrod_series",
-                 "homotopy_series", "gap_verified", "first_positive_nonzero_degree",
-                 "nonnegative", "tensor_identity")
+    __slots__ = ("prime", "truncation_degree", "homology_series", "homotopy_series",
+                 "gap_verified", "first_positive_nonzero_degree", "nonnegative",
+                 "tensor_identity", "_steenrod")
 
     def __init__(self, prime: int, truncation_degree: int,
-                 homology_series: TruncatedSeries, steenrod_series: TruncatedSeries,
-                 homotopy_series: TruncatedSeries, gap_verified: bool,
-                 first_positive_nonzero_degree: int | None, nonnegative: bool,
-                 tensor_identity: bool) -> None:
+                 homology_series: TruncatedSeries, homotopy_series: TruncatedSeries,
+                 gap_verified: bool, first_positive_nonzero_degree: int | None,
+                 nonnegative: bool, tensor_identity: bool) -> None:
         self.prime = prime
         self.truncation_degree = truncation_degree
         self.homology_series = homology_series
-        self.steenrod_series = steenrod_series
         self.homotopy_series = homotopy_series
         self.gap_verified = gap_verified
         self.first_positive_nonzero_degree = first_positive_nonzero_degree
         self.nonnegative = nonnegative
         self.tensor_identity = tensor_identity
+        self._steenrod = None
+
+    @property
+    def steenrod_series(self) -> TruncatedSeries:
+        """The dual Steenrod series at the truncation degree, computed on the
+        first read and kept: no identity of the report needs it."""
+        if self._steenrod is None:
+            self._steenrod = steenrod_series(self.prime, self.truncation_degree)
+        return self._steenrod
 
 
 def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
@@ -88,10 +95,10 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
-    degree is in range.
+    degree is in range.  The dual Steenrod series itself is built only when
+    ``steenrod_series`` is read.
     """
     hom = homology_series(p, max_degree)
-    ste = steenrod_series(p, max_degree)
     milnor = milnor_generator_degrees(p, max_degree)
     quo = quotient_over_generators(hom, milnor)
     c = quo.coefficients
@@ -100,16 +107,17 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     gap = gap and (max_degree < top or c[top] == 1)
     first = next((d for d in range(1, max_degree + 1) if c[d]), None)
     identity = multiply_over_generators(quo, milnor) == hom
-    return HomotopyReport(p, max_degree, hom, ste, quo, gap, first, min(c) >= 0, identity)
+    return HomotopyReport(p, max_degree, hom, quo, gap, first, min(c) >= 0, identity)
 
 
 def _checked(report: HomotopyReport) -> HomotopyReport:
     """``report``, or a VerificationError naming the identity it fails."""
-    for d, c in enumerate(report.homotopy_series.coefficients):
-        if c < 0:
-            raise VerificationError(
-                f"negative homotopy dimension {c} in degree {d} at p={report.prime}"
-            )
+    if not report.nonnegative:
+        c = report.homotopy_series.coefficients
+        d = next(d for d, x in enumerate(c) if x < 0)
+        raise VerificationError(
+            f"negative homotopy dimension {c[d]} in degree {d} at p={report.prime}"
+        )
     if not report.tensor_identity:
         raise VerificationError(
             f"tensor identity failed at p={report.prime}: "

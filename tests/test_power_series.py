@@ -189,15 +189,16 @@ def test_product_equals_iterated_mul_in_any_order(profile):
 
 
 @st.composite
-def signed_operands(draw):
+def operands(draw, signed=True):
     """Two series of one truncation degree, each with its own coefficient
-    size (all zero, or up to 2^300 in magnitude) and either dense or mostly
-    zero."""
+    size (all zero, or up to 2^300 in magnitude, of either sign unless
+    ``signed`` is false) and either dense or mostly zero."""
     n = draw(st.integers(min_value=0, max_value=30))
     pair = []
     for _ in range(2):
         size = draw(st.sampled_from([0, 1, 8, 9, 64, 300]))
-        values = st.integers(min_value=-(2**size) + 1, max_value=2**size - 1)
+        low = -(2**size) + 1 if signed else 0
+        values = st.integers(min_value=low, max_value=2**size - 1)
         if draw(st.booleans()):
             values = st.one_of(st.just(0), st.just(0), st.just(0), values)
         coeffs = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
@@ -213,8 +214,10 @@ def _flat(n, x, y):
 
 # max|a|·max|b|·(N + 1) just below a multiple of 8 bits, where a slot one bit
 # short of the bound overflows: 147 < 2^8, 57,375 < 2^16, 255·(2^300 - 1)^2
-# < 2^608; and just above one: 69,632 > 2^16.
-@given(signed_operands())
+# < 2^608; and just above one: 69,632 > 2^16.  Nonnegative operands take
+# slots with no sign bit, so 255^3 = 16,581,375 < 2^24 fills exactly 3 bytes.
+# The last example is signed only by the top coefficient of its second operand.
+@given(st.one_of(operands(), operands(signed=False)))
 @example(_flat(2, 7, -7))
 @example(_flat(254, -15, -15))
 @example(_flat(254, 15, -15))
@@ -223,6 +226,9 @@ def _flat(n, x, y):
 @example(_flat(0, 2**300 - 1, -(2**300 - 1)))
 @example(_flat(5, 0, -(2**300 - 1)))
 @example(_flat(0, 0, 0))
+@example(_flat(254, 255, 255))
+@example(_flat(254, 2**300 - 1, 2**300 - 1))
+@example([TruncatedSeries(3, (5, 7, 1, 2)), TruncatedSeries(3, (1, 4, 9, -3))])
 def test_mul_matches_naive_convolution_on_large_signed_coefficients(fg):
     f, g = fg
     expected = naive_mul(list(f.coefficients), list(g.coefficients))

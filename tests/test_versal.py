@@ -223,6 +223,40 @@ def test_verification_battery_reports_failures(monkeypatch, capsys):
     assert "FAIL  cotangent_shift" in capsys.readouterr().out
 
 
+def _count_steenrod_series(monkeypatch):
+    """The (p, N) of every ``versal.steenrod_series`` call from now on."""
+    series = versal.steenrod_series
+    seen = []
+
+    def counted(p, n):
+        seen.append((p, n))
+        return series(p, n)
+
+    monkeypatch.setattr(versal, "steenrod_series", counted)
+    return seen
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["homotopy", "--prime", "2", "--max-degree", "40"], []),
+    (["taq", "--prime", "3", "--max-degree", "30"], []),
+    (["verify", "--prime", "3", "--max-degree", "60"], [(3, 60)]),
+])
+def test_steenrod_series_is_built_only_for_the_cotangent_check(monkeypatch, capsys, argv, calls):
+    seen = _count_steenrod_series(monkeypatch)
+    assert cli.main(argv) == 0
+    assert seen == calls
+
+
+def test_report_steenrod_series_is_computed_once_on_first_read(monkeypatch):
+    seen = _count_steenrod_series(monkeypatch)
+    report = versal.homotopy_report(3, 24)
+    assert seen == []
+    first = report.steenrod_series
+    assert report.steenrod_series is first
+    assert seen == [(3, 24)]
+    assert first == steenrod_series(3, 24)
+
+
 @pytest.mark.parametrize("n", [0, 1, 12])
 def test_cotangent_shift_fails_when_the_suspension_shifts_nothing(monkeypatch, n):
     assert next(v for v in verification_battery(3, n) if v.name == "cotangent_shift").passed
