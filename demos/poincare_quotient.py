@@ -8,7 +8,12 @@ series is the homotopy dimension series. This script walks through that
 division at p = 2 and p = 3 and reads off the consequences.
 """
 
-from versalp import equivalence_count, homotopy_series, selfmap_first_nontrivial
+from versalp import (
+    equivalence_count,
+    homotopy_series,
+    selfmap_first_nontrivial,
+    steenrod_series,
+)
 
 for p in (2, 3):
     top = 4 * (p - 1)
@@ -16,7 +21,7 @@ for p in (2, 3):
 
     print(f"p = {p}, computed through degree {report.truncation_degree}")
     print("  homology: ", report.homology_series.coefficients[: top + 1], "...")
-    print("  steenrod: ", report.steenrod_series.coefficients[: top + 1], "...")
+    print("  steenrod: ", steenrod_series(p, 3 * top).coefficients[: top + 1], "...")
     print("  homotopy: ", report.homotopy_series.coefficients[: top + 1], "...")
 
     # The quotient starts 1, then nothing until degree 4(p-1). That gap is

@@ -2,7 +2,6 @@
 characteristic-p commutative ring spectra."""
 
 from .dyer_lashof import (
-    AdmissibleWord,
     enumerate_generators,
     generator_degree_counts,
     generator_series,
@@ -43,7 +42,6 @@ from .versal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleWord",
     "CollisionWitness",
     "EXTERIOR",
     "Generator",

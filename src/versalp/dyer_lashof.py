@@ -8,7 +8,6 @@ give p-th powers and reappear as monomials, not generators.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from itertools import count, product
 from operator import add
@@ -16,79 +15,27 @@ from operator import add
 from .free_algebra import Generator, GeneratorSet
 from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, product_over_counts
 from .primes import require_prime
-from .value import Value
-
-
-class AdmissibleWord(Value):
-    """For p = 2 the entries are positive integers i_1..i_k with
-    i_j <= 2 i_{j+1}; for odd p they are pairs (eps_j, s_j) with eps in
-    {0, 1}, s_j >= 1 and s_j <= p*s_{j+1} - eps_{j+1}.  The empty word is
-    the identity.
-
-    >>> AdmissibleWord(2, (4, 2)).render()
-    'Q^4 Q^2 a'
-    >>> AdmissibleWord(3, ((1, 2),)).render()
-    'bQ^2 a'
-    """
-
-    __slots__ = ("prime", "entries")
-
-    prime: int
-    entries: tuple
-
-    def __init__(self, prime: int, entries: Sequence) -> None:
-        require_prime(prime)
-        entries = tuple(entries)
-        if prime == 2:
-            for i in entries:
-                if not isinstance(i, int) or i < 1:
-                    raise ValueError(f"p=2 entries must be positive integers, got {i!r}")
-            for j in range(len(entries) - 1):
-                if entries[j] > 2 * entries[j + 1]:
-                    raise ValueError(f"inadmissible word {entries}")
-        else:
-            entries = tuple((eps, s) for eps, s in entries)
-            for eps, s in entries:
-                if eps not in (0, 1) or s < 1:
-                    raise ValueError(f"bad odd-prime entry ({eps}, {s})")
-            for j in range(len(entries) - 1):
-                if entries[j][1] > prime * entries[j + 1][1] - entries[j + 1][0]:
-                    raise ValueError(f"inadmissible word {entries}")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def word_degree(self) -> int:
-        return _word_degree(self.prime, self.entries)
-
-    @property
-    def excess(self) -> "int | float":
-        """Empty word has excess +infinity by convention."""
-        if not self.entries:
-            return math.inf
-        if self.prime == 2:
-            return 2 * self.entries[0] - sum(self.entries)
-        head = 2 * self.entries[0][1]
-        tail = sum(2 * s * (self.prime - 1) + eps for eps, s in self.entries[1:])
-        return head - tail
-
-    def degree(self, gen_degree: int) -> int:
-        """Degree of the word applied to a class of degree ``gen_degree``."""
-        return gen_degree + self.word_degree
-
-    def render(self, symbol: str = "a") -> str:
-        return _render_word(self.prime, self.entries, symbol)
 
 
 def _word_degree(p: int, entries: tuple) -> int:
-    """Word degree of raw entries, as ``AdmissibleWord.word_degree``."""
+    """Word degree of an entry tuple; here of Q^3, bQ^2 at p = 3 and ().
+
+    >>> _word_degree(2, (3,)), _word_degree(3, ((1, 2),)), _word_degree(5, ())
+    (3, 7, 0)
+    """
     if p == 2:
         return sum(entries)
     return sum(2 * s * (p - 1) - eps for eps, s in entries)
 
 
 def _render_word(p: int, entries: tuple, symbol: str) -> str:
-    """Raw entries applied to ``symbol``, as ``AdmissibleWord.render``."""
+    """An entry tuple applied to ``symbol``; the empty word is ``symbol``.
+
+    >>> _render_word(2, (4, 2), "a"), _render_word(2, (), "a"), _render_word(2, (2,), "b")
+    ('Q^4 Q^2 a', 'a', 'Q^2 b')
+    >>> _render_word(3, ((1, 2),), "a"), _render_word(3, ((0, 2), (1, 1)), "a")
+    ('bQ^2 a', 'Q^2 bQ^1 a')
+    """
     if not entries:
         return symbol
     if p == 2:
@@ -173,12 +120,11 @@ def _raw_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
     return [()] + _generator_words_odd(p, gen_degree, budget)
 
 
-def generator_words(p: int, gen_degree: int, max_degree: int) -> tuple[AdmissibleWord, ...]:
-    """Empty word plus every admissible word with excess > gen_degree and
-    total degree <= max_degree, sorted by (total degree, entries)."""
-    words = [AdmissibleWord(p, w) for w in _raw_words(p, gen_degree, max_degree)]
-    words.sort(key=lambda w: (w.degree(gen_degree), w.entries))
-    return tuple(words)
+def generator_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
+    """Entry tuples of the empty word and of every admissible word with excess
+    > gen_degree and total degree <= max_degree, sorted by (degree, entries)."""
+    # No report calls this; bench/tracing.py wraps it by name and counts its words.
+    return sorted(_raw_words(p, gen_degree, max_degree), key=lambda w: (_word_degree(p, w), w))
 
 
 def _minimal_word_degrees(p: int, n: int, k: int) -> list[int]:
@@ -265,12 +211,8 @@ def enumerate_generators(
     p: int, gen_degree: int, max_degree: int, symbol: str = "a"
 ) -> GeneratorSet:
     """Free-algebra generator set over one class of degree ``gen_degree``:
-    one generator per word of ``generator_words``.
-
-    Kind is polynomial at p = 2; at odd primes it follows the parity of
-    the total degree.  Labels are the rendered words applied to
-    ``symbol``.  The words are read as the raw entry tuples the search
-    yields, admissible by construction, so no ``AdmissibleWord`` is built;
+    one generator per word of ``generator_words``, labelled by the word
+    applied to ``symbol``, of the kind ``_kind`` gives its total degree;
     ``GeneratorSet`` puts them in (degree, label) order.
     """
     gens = []

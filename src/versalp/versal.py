@@ -56,7 +56,7 @@ class HomotopyReport:
 
     __slots__ = ("prime", "truncation_degree", "homology_series", "homotopy_series",
                  "gap_verified", "first_positive_nonzero_degree", "nonnegative",
-                 "tensor_identity", "_steenrod")
+                 "tensor_identity")
 
     def __init__(self, prime: int, truncation_degree: int,
                  homology_series: TruncatedSeries, homotopy_series: TruncatedSeries,
@@ -70,15 +70,6 @@ class HomotopyReport:
         self.first_positive_nonzero_degree = first_positive_nonzero_degree
         self.nonnegative = nonnegative
         self.tensor_identity = tensor_identity
-        self._steenrod = None
-
-    @property
-    def steenrod_series(self) -> TruncatedSeries:
-        """The dual Steenrod series at the truncation degree, computed on the
-        first read and kept: no identity of the report needs it."""
-        if self._steenrod is None:
-            self._steenrod = steenrod_series(self.prime, self.truncation_degree)
-        return self._steenrod
 
 
 def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
@@ -95,8 +86,7 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
-    degree is in range.  The dual Steenrod series itself is built only when
-    ``steenrod_series`` is read.
+    degree is in range.
     """
     hom = homology_series(p, max_degree)
     milnor = milnor_generator_degrees(p, max_degree)
@@ -350,7 +340,7 @@ def battery_verdicts(report: HomotopyReport) -> tuple[Verdict, ...]:
         shifted = _suspension(_checked(report).homotopy_series).coefficients
         ok = shifted[0] == 0
         if max_degree >= 1:
-            top = sum(map(mul, reversed(shifted), report.steenrod_series.coefficients))
+            top = sum(map(mul, reversed(shifted), steenrod_series(p, max_degree).coefficients))
             ok = ok and top == report.homology_series.coefficient(max_degree - 1)
         return ok, "equals t * homotopy"
 

@@ -2,7 +2,9 @@
 
 Nothing here shares code with the package: multiplication is a full
 convolution of lists, free-algebra series are folds of explicit factor
-series, word enumeration tries every composition and filters, and monomial
+series, word enumeration tries every composition and filters it by a
+separate admissibility check and excess, words are rendered and given their
+degree by functions written apart from the package's, and monomial
 listing tries every exponent vector and filters, Milnor generator degrees
 are found by testing every degree for membership; CSV is written by the
 standard library's ``csv`` writer from a report's fields.  Two quadratic algorithms
@@ -85,16 +87,57 @@ def _compositions(parts, budget, prefix=(), weight=0):
         yield grown
         yield from _compositions(parts, budget, grown, weight + w)
 
+
+def is_admissible(p, word):
+    """Whether an entry tuple is an admissible Dyer-Lashof word: at p = 2
+    positive integers i_1..i_k with i_j <= 2 i_{j+1}; at odd p pairs
+    (eps_j, s_j) with eps_j in {0, 1}, s_j >= 1 and s_j <= p s_{j+1} - eps_{j+1}."""
+    if p == 2:
+        if not all(isinstance(i, int) and i >= 1 for i in word):
+            return False
+        return all(i <= 2 * j for i, j in zip(word, word[1:]))
+    if not all(eps in (0, 1) and s >= 1 for eps, s in word):
+        return False
+    return all(s <= p * s2 - e2 for (_, s), (e2, s2) in zip(word, word[1:]))
+
+
+def excess(p, word):
+    """Excess of a nonempty word: 2 i_1 minus the sum of all entries at
+    p = 2; at odd p, 2 s_1 minus the sum of 2 s_j (p - 1) + eps_j over the
+    entries after the first."""
+    if p == 2:
+        return 2 * word[0] - sum(word)
+    return 2 * word[0][1] - sum(2 * s * (p - 1) + eps for eps, s in word[1:])
+
+
+def word_degree(p, word):
+    """Degree a word adds to the class it acts on: the sum of the entries at
+    p = 2, the sum of 2 s (p - 1) - eps at odd p."""
+    total = 0
+    for entry in word:
+        if p == 2:
+            total += entry
+        else:
+            eps, s = entry
+            total += 2 * s * (p - 1) - eps
+    return total
+
+
+def render_word(p, word, symbol):
+    """The word applied to ``symbol``, operations left to right, as in
+    ``Q^4 Q^2 a`` or ``Q^2 bQ^1 a``."""
+    if p == 2:
+        ops = [f"Q^{i}" for i in word]
+    else:
+        ops = [f"{'bQ' if eps else 'Q'}^{s}" for eps, s in word]
+    return " ".join(ops + [symbol])
+
+
 def brute_words_p2(n, budget):
     """Admissible p=2 words with excess > n, by filtering every composition."""
     parts = [(i, i) for i in range(1, budget + 1)]
-    keep = []
-    for w in _compositions(parts, budget):
-        if any(w[j] > 2 * w[j + 1] for j in range(len(w) - 1)):
-            continue
-        if 2 * w[0] - sum(w) > n:
-            keep.append(w)
-    return sorted(keep)
+    words = _compositions(parts, budget)
+    return sorted(w for w in words if is_admissible(2, w) and excess(2, w) > n)
 
 
 def brute_words_odd(p, n, budget):
@@ -105,16 +148,8 @@ def brute_words_odd(p, n, budget):
         while 2 * s * (p - 1) - eps <= budget:
             parts.append(((eps, s), 2 * s * (p - 1) - eps))
             s += 1
-    keep = []
-    for w in _compositions(parts, budget):
-        if any(
-            w[j][1] > p * w[j + 1][1] - w[j + 1][0] for j in range(len(w) - 1)
-        ):
-            continue
-        excess = 2 * w[0][1] - sum(2 * s * (p - 1) + eps for eps, s in w[1:])
-        if excess > n:
-            keep.append(w)
-    return sorted(keep)
+    words = _compositions(parts, budget)
+    return sorted(w for w in words if is_admissible(p, w) and excess(p, w) > n)
 
 
 def dp_degree_counts(p, gen_degree, max_degree):

@@ -9,9 +9,9 @@ from hypothesis import example, given, strategies as st
 from versalp import cli, power_series, versal
 from versalp.dyer_lashof import generator_degree_counts, generator_words
 from versalp.power_series import VerificationError, product_over_counts
-from versalp.versal import homology_series, homotopy_report, homotopy_series
+from versalp.versal import homology_series, homotopy_report, homotopy_series, steenrod_series
 
-from oracles import dp_degree_counts, factor_fold, naive_series
+from oracles import dp_degree_counts, factor_fold, naive_series, word_degree
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -20,7 +20,7 @@ def test_counts_are_the_degree_histogram_of_the_words(p, gen_degree):
     for n in sorted({0, gen_degree - 1, gen_degree, 200}):
         histogram = [0] * (n + 1)
         for w in generator_words(p, gen_degree, n):
-            histogram[w.degree(gen_degree)] += 1
+            histogram[gen_degree + word_degree(p, w)] += 1
         assert generator_degree_counts(p, gen_degree, n) == histogram, (p, gen_degree, n)
 
 
@@ -108,6 +108,6 @@ def test_homotopy_quotient_at_degree_800(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_quotient_by_milnor_factors_is_long_division_at_degree_850(p):
     report = homotopy_report(p, 850)
-    expected = report.homology_series.div(report.steenrod_series)
+    expected = report.homology_series.div(steenrod_series(p, 850))
     assert report.homotopy_series == expected
     assert report.tensor_identity and report.nonnegative

@@ -2,7 +2,6 @@
 
 import pytest
 
-from versalp.dyer_lashof import AdmissibleWord
 from versalp.free_algebra import Generator, GeneratorSet, Monomial, enumerate_monomials
 from versalp.power_series import TruncatedSeries
 from versalp.versal import Verdict
@@ -23,7 +22,6 @@ VALUES = {
                  lambda: Monomial(((Generator("x", 2, "polynomial"), 2),))),
     "MonomialBasis": (lambda: enumerate_monomials(_generators(), 6),
                       lambda: enumerate_monomials(_generators(), 5)),
-    "AdmissibleWord": (lambda: AdmissibleWord(2, [4, 2]), lambda: AdmissibleWord(2, (4,))),
     "Verdict": (lambda: Verdict("gap", True), lambda: Verdict("gap", True, "detail")),
 }
 

@@ -70,12 +70,10 @@ def test_homotopy_above_the_gap_p2():
 def test_homotopy_report_tensor_identity_fields():
     for p, n in ((2, 40), (3, 24), (5, 20)):
         report = homotopy_series(p, n)
-        assert report.homotopy_series.mul(report.steenrod_series) == report.homology_series
+        ste = steenrod_series(p, n)
+        assert report.homotopy_series.mul(ste) == report.homology_series
         assert min(report.homotopy_series.coefficients) >= 0
-        got = naive_mul(
-            list(report.homotopy_series.coefficients),
-            list(report.steenrod_series.coefficients),
-        )
+        got = naive_mul(list(report.homotopy_series.coefficients), list(ste.coefficients))
         assert got == list(report.homology_series.coefficients)
 
 
@@ -83,7 +81,7 @@ def test_homotopy_report_tensor_identity_fields():
 def test_tensor_identity_agrees_with_the_kronecker_multiply_back_at_degree_4000(p):
     report = versal.homotopy_report(p, 4000)
     assert report.tensor_identity
-    assert report.homotopy_series.mul(report.steenrod_series) == report.homology_series
+    assert report.homotopy_series.mul(steenrod_series(p, 4000)) == report.homology_series
 
 
 def test_homotopy_truncated_below_the_gap():
@@ -211,7 +209,7 @@ def test_verification_battery_all_pass(p):
 
 def test_verification_battery_reports_failures(monkeypatch, capsys):
     # The identity multiplies the quotient back by the Milnor generators
-    # themselves; the report's Steenrod series feeds the cotangent check.
+    # themselves; the Steenrod series feeds only the cotangent check.
     def broken(p, n):
         return TruncatedSeries.from_coefficients((1, 0), n)
 
@@ -245,16 +243,6 @@ def test_steenrod_series_is_built_only_for_the_cotangent_check(monkeypatch, caps
     seen = _count_steenrod_series(monkeypatch)
     assert cli.main(argv) == 0
     assert seen == calls
-
-
-def test_report_steenrod_series_is_computed_once_on_first_read(monkeypatch):
-    seen = _count_steenrod_series(monkeypatch)
-    report = versal.homotopy_report(3, 24)
-    assert seen == []
-    first = report.steenrod_series
-    assert report.steenrod_series is first
-    assert seen == [(3, 24)]
-    assert first == steenrod_series(3, 24)
 
 
 @pytest.mark.parametrize("n", [0, 1, 12])
