@@ -1,6 +1,6 @@
 import pytest
 
-from versalp.dyer_lashof import enumerate_generators, generator_words
+from versalp.dyer_lashof import _render_word, enumerate_generators, generator_words
 
 from oracles import (
     brute_words_odd,
@@ -91,6 +91,14 @@ def test_ordering_is_deterministic_and_degree_sorted():
 def test_odd_prime_kinds_follow_degree_parity():
     for g in enumerate_generators(3, 1, 20):
         assert g.kind == ("exterior" if g.degree % 2 else "polynomial")
+
+
+def test_rendering():
+    assert _render_word(2, (4, 2), "a") == "Q^4 Q^2 a"
+    assert _render_word(3, ((1, 2),), "a") == "bQ^2 a"
+    assert _render_word(3, ((0, 2), (1, 1)), "a") == "Q^2 bQ^1 a"
+    assert _render_word(2, (), "a") == "a"
+    assert _render_word(2, (2,), "b") == "Q^2 b"
 
 
 def test_generator_symbol_controls_labels():
