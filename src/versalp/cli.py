@@ -388,7 +388,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         _PARSER.error(f"--max-degree must be >= 0, got {args.max_degree}")
     # collision ignores the degree: its report is pinned at p = 2, degree 4
     n = 4 * (args.prime - 1) if args.max_degree is None else args.max_degree
-    # verify's self-map check computes at 4(p-1) whatever the degree asked
+    # verify's fixed-scale checks read a report at 4(p-1) whatever the degree asked
     top = max(n, 4 * (args.prime - 1)) if args.command == "verify" else n
     if top > MAX_SERIES_DEGREE and args.command not in ("collision", "equivalences"):
         _PARSER.error(

@@ -389,10 +389,30 @@ VERIFY_P2 = [
 ]
 
 
-def test_verify_table_snapshot(capsys):
-    code, out, _ = run(capsys, "verify", "--prime", "2")
+# Below 4(p-1) the fixed-scale checks still read p - 1, 4p - 5 and 2p - 2.
+VERIFY_P5_THROUGH_3 = [
+    ("nonnegativity", "min coefficient 0"),
+    ("tensor_identity", "homotopy * steenrod == homology"),
+    ("gap", "checked through degree 3"),
+    ("h1_dimension", "H_1 dimension 1"),
+    ("equivalence_count", "count 4"),
+    ("selfmap_degree", "degree 15"),
+    ("hz_first_difference", "first difference at degree 8"),
+    ("taq_dimensions", "single 1 in degree 1"),
+    ("cotangent_shift", "equals t * homotopy"),
+    ("basis_series_agreement", "monomial counts match series through degree 3"),
+    ("thh_tensor", "tensor enumeration matches through degree 3"),
+]
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["--prime", "2"], VERIFY_P2),
+    (["--prime", "5", "--max-degree", "3"], VERIFY_P5_THROUGH_3),
+])
+def test_verify_table_snapshot(capsys, argv, lines):
+    code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
-    assert out == "".join(f"PASS  {name}  ({detail})\n" for name, detail in VERIFY_P2)
+    assert out == "".join(f"PASS  {name}  ({detail})\n" for name, detail in lines)
 
 
 def test_verify_json_snapshot(capsys):

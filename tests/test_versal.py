@@ -221,16 +221,16 @@ def test_verification_battery_reports_failures(monkeypatch, capsys):
     assert "FAIL  cotangent_shift" in capsys.readouterr().out
 
 
-def _count_steenrod_series(monkeypatch):
-    """The (p, N) of every ``versal.steenrod_series`` call from now on."""
-    series = versal.steenrod_series
+def _count_calls(monkeypatch, name):
+    """The arguments of every ``versal.<name>`` call from now on."""
+    function = getattr(versal, name)
     seen = []
 
-    def counted(p, n):
-        seen.append((p, n))
-        return series(p, n)
+    def counted(*args):
+        seen.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(versal, "steenrod_series", counted)
+    monkeypatch.setattr(versal, name, counted)
     return seen
 
 
@@ -240,9 +240,41 @@ def _count_steenrod_series(monkeypatch):
     (["verify", "--prime", "3", "--max-degree", "60"], [(3, 60)]),
 ])
 def test_steenrod_series_is_built_only_for_the_cotangent_check(monkeypatch, capsys, argv, calls):
-    seen = _count_steenrod_series(monkeypatch)
+    seen = _count_calls(monkeypatch, "steenrod_series")
     assert cli.main(argv) == 0
     assert seen == calls
+
+
+# verify reads its fixed-scale checks from its own report when that reaches
+# 4(p-1), and from one more report at 4(p-1) when it does not.
+@pytest.mark.parametrize("p,n,reports", [(3, 60, [(3, 60)]), (7, 5, [(7, 5), (7, 24)])])
+def test_verify_computes_each_series_once(monkeypatch, capsys, p, n, reports):
+    names = ("homotopy_report", "homology_series", "homotopy_series", "equivalence_count",
+             "selfmap_first_nontrivial", "hz_quotient_comparison")
+    seen = {name: _count_calls(monkeypatch, name) for name in names}
+    assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 0
+    expected = {name: [] for name in names}
+    expected["homotopy_report"] = expected["homology_series"] = reports
+    assert seen == expected
+
+
+def test_selfmap_check_fails_on_a_fault_only_its_own_report_holds(monkeypatch, capsys):
+    quotient = versal.quotient_over_generators
+
+    def one_too_many_at_degree_8(series, gens):
+        quo = quotient(series, gens)
+        c = quo.coefficients
+        return quo if len(c) != 9 else TruncatedSeries(8, c[:-1] + (c[-1] + 1,))
+
+    # At p = 3, N = 4 the report at 4(p-1) = 8 is read only by the fixed-scale
+    # checks. The extra class leaves H_1, the first HZ/p difference and the
+    # first positive degree as they are: only that report's tensor identity
+    # sees it, and only the self-map check verifies that identity.
+    monkeypatch.setattr(versal, "quotient_over_generators", one_too_many_at_degree_8)
+    assert cli.main(["verify", "--prime", "3", "--max-degree", "4"]) == 2
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL  selfmap_degree  (tensor identity failed at p=3: "
+                      "homotopy * steenrod != homology)"]
 
 
 @pytest.mark.parametrize("n", [0, 1, 12])
