@@ -11,6 +11,7 @@ mathematical verification fails.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -67,10 +68,6 @@ class Report:
         return any(not v.passed for v in self.verdicts or ())
 
 
-def _strings(values) -> list[str]:
-    return [str(c) for c in values]
-
-
 def _sources(witness: versal.CollisionWitness) -> list[str]:
     return [m.render() for m in witness.source_monomials]
 
@@ -90,49 +87,6 @@ def _names(r: Report, encode=str) -> list[list[str]] | None:
                 f"{r.kind} lists {len(bucket)} monomials in degree {d}, the series says {expected}"
             )
     return names
-
-
-class _Escaped:
-    """Strings already JSON-escaped, without their quotes: ``_json_text``
-    writes them as a list of strings without escaping them again."""
-
-    __slots__ = ("strings",)
-
-    def __init__(self, strings: list[str]) -> None:
-        self.strings = strings
-
-
-def _json(r: Report, names: list[list[str]] | None) -> dict:
-    """The envelope: prime, max_degree, kind, series, then basis (``names``,
-    JSON-escaped), witness and the verify verdicts, assumptions, and last
-    the homotopy verdicts or the cotangent series."""
-    out = {
-        "prime": r.prime,
-        "max_degree": r.max_degree,
-        "kind": r.kind,
-        "series": _strings(r.series),
-    }
-    if names is not None:
-        out["basis"] = [
-            {"degree": d, "monomials": _Escaped(bucket)} for d, bucket in enumerate(names)
-        ]
-    if r.witness is not None:
-        out["witness"] = {"sources": _sources(r.witness), "image": r.witness.image}
-    if r.verdicts is not None:
-        out["verdicts"] = [
-            {"name": v.name, "passed": v.passed, "detail": v.detail}
-            for v in r.verdicts
-        ]
-    out["assumptions"] = list(r.assumptions)
-    if r.homotopy is not None:
-        out["verdicts"] = [
-            {"name": "gap", "passed": r.homotopy.gap_verified},
-            {"name": "tensor_identity", "passed": r.homotopy.tensor_identity},
-            {"name": "nonnegativity", "passed": r.homotopy.nonnegative},
-        ]
-    if r.cotangent is not None:
-        out["cotangent_series"] = _strings(r.cotangent.coefficients)
-    return out
 
 
 def _csv(r: Report, names: list[list[str]] | None) -> list[str]:
@@ -191,69 +145,79 @@ def _table(r: Report, names: list[list[str]] | None) -> list[str]:
             f"# first_positive_nonzero_degree: {first if first is not None else '-'}",
         ]
     if r.cotangent is not None:
-        cotangent = ",".join(_strings(r.cotangent.coefficients))
+        cotangent = ",".join(map(str, r.cotangent.coefficients))
         lines += ["", f"# cotangent_series: {cotangent}"]
     return lines
 
 
-def _json_text(value, end: str = "") -> str:
-    """``json.dumps(value, indent=2) + end`` for dicts with string keys,
-    lists, tuples, scalars and ``_Escaped`` lists.  Any indent makes the
-    standard library fall back to its pure-Python encoder; here a list of
-    strings is encoded in one pass of the C string encoder (where the
-    interpreter has one), an ``_Escaped`` list is joined as it is, and only
-    mixed lists, dicts and other scalars take the slower path.  The parts
-    are joined once, at the end."""
+def _json_text(r: Report, names: list[list[str]] | None) -> str:
+    """The envelope as ``json.dumps(document, indent=2) + "\\n"`` writes it:
+    prime, max_degree, kind, series, then basis (``names``, JSON-escaped),
+    witness and the verify verdicts, assumptions, and last the homotopy
+    verdicts or the cotangent series.  Strings take one pass of the standard
+    library's C string encoder, where ``json.dumps`` with an indent would run
+    its pure-Python encoder; each escaped bucket is joined once, and the
+    parts are joined once, at the end."""
     import json  # only JSON output pays for loading the package
 
-    encode, dumps = json.encoder.encode_basestring_ascii, json.dumps
-    parts: list[str] = []
+    encode = json.encoder.encode_basestring_ascii
 
-    def emit(value, newline: str) -> None:
-        inner = newline + "  "
-        if isinstance(value, _Escaped):
-            if value.strings:
-                body = ('",' + inner + '"').join(value.strings)
-                parts.extend(("[", inner, '"', body, '"', newline, "]"))
+    def array(items: list[str], indent: str = "\n  ") -> str:
+        """Items already in JSON, one per line, one level below ``indent``."""
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+    def verdicts(rows) -> str:
+        return ',\n  "verdicts": ' + array([
+            '{\n      "name": ' + encode(name) + ',\n      "passed": '
+            + ("true" if passed else "false")
+            + ("" if detail is None else ',\n      "detail": ' + encode(detail)) + "\n    }"
+            for name, passed, detail in rows
+        ])
+
+    parts = [f'{{\n  "prime": {r.prime},\n  "max_degree": {r.max_degree},\n  "kind": ',
+             encode(r.kind), ',\n  "series": ', array([encode(str(c)) for c in r.series])]
+    if names is not None:
+        parts.append(',\n  "basis": [')
+        for d, bucket in enumerate(names):
+            parts.append(f'{"," if d else ""}\n    {{\n      "degree": {d},\n      "monomials": ')
+            if bucket:
+                parts.extend(('[\n        "', '",\n        "'.join(bucket), '"\n      ]\n    }'))
             else:
-                parts.append("[]")
-        elif isinstance(value, dict) and value:
-            opening = "{"
-            for k, v in value.items():
-                parts.extend((opening, inner, encode(k), ": "))
-                emit(v, inner)
-                opening = ","
-            parts.extend((newline, "}"))
-        elif isinstance(value, (list, tuple)) and value:
-            try:
-                parts.extend(("[", inner, ("," + inner).join(map(encode, value)), newline, "]"))
-            except TypeError:  # not all strings
-                opening = "["
-                for v in value:
-                    parts.extend((opening, inner))
-                    emit(v, inner)
-                    opening = ","
-                parts.extend((newline, "]"))
-        else:
-            parts.append(dumps(value))
-
-    emit(value, "\n")
-    parts.append(end)
+                parts.append("[]\n    }")
+        parts.append("\n  ]")
+    if r.witness is not None:
+        sources = array(list(map(encode, _sources(r.witness))), "\n    ")
+        parts.extend((',\n  "witness": {\n    "sources": ', sources,
+                      ',\n    "image": ', encode(r.witness.image), "\n  }"))
+    if r.verdicts is not None:
+        parts.append(verdicts((v.name, v.passed, v.detail) for v in r.verdicts))
+    parts.extend((',\n  "assumptions": ', array(list(map(encode, r.assumptions)))))
+    if r.homotopy is not None:
+        h = r.homotopy
+        parts.append(verdicts((("gap", h.gap_verified, None),
+                               ("tensor_identity", h.tensor_identity, None),
+                               ("nonnegativity", h.nonnegative, None))))
+    if r.cotangent is not None:
+        parts.extend((',\n  "cotangent_series": ',
+                      array([encode(str(c)) for c in r.cotangent.coefficients])))
+    parts.append("\n}\n")
     return "".join(parts)
 
 
 def render(report: Report, fmt: str) -> str:
-    """``report`` as table, json or csv text; only that form is built.  A
-    listing report lists its basis once, in that form's encoding: JSON
-    escaping maps each character on its own, so escaping each piece of a
-    name once escapes every name that holds it.  Raises VerificationError
-    when the listing disagrees with the series."""
+    """``report`` as table, json or csv text, each written straight from
+    the report's fields; only that form is built.  A listing report lists its
+    basis once, in that form's encoding: JSON escaping maps each character on
+    its own, so escaping each piece of a name once escapes every name that
+    holds it.  Raises VerificationError when the listing disagrees with the
+    series."""
     if fmt == "json":
         import json  # only JSON output pays for loading the package
 
         encode = json.encoder.encode_basestring_ascii
         names = _names(report, lambda s: encode(s)[1:-1])
-        return _json_text(_json(report, names), "\n")
+        return _json_text(report, names)
     names = _names(report)
     lines = _csv(report, names) if fmt == "csv" else _table(report, names)
     lines.append("")
@@ -429,8 +393,11 @@ def _write_stdout(text: str) -> None:
 
     After a failure, file descriptor 1 points at the null device: the
     interpreter flushes stdout again at exit, and the bytes the stream still
-    holds must not fail a second time."""
+    holds must not fail a second time.  A stdout closed at start-up is None,
+    and fails as an unwritable one."""
     out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         buffer = getattr(out, "buffer", None)
         if buffer is None:

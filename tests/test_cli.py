@@ -34,26 +34,44 @@ LISTED = {
 }
 
 
+def envelope(report, buckets):
+    """``report``'s JSON envelope as plain JSON values, its basis the plain
+    names ``buckets``."""
+    document = {
+        "prime": report.prime,
+        "max_degree": report.max_degree,
+        "kind": report.kind,
+        "series": [str(c) for c in report.series],
+    }
+    if buckets is not None:
+        document["basis"] = [{"degree": d, "monomials": b} for d, b in enumerate(buckets)]
+    if report.witness is not None:
+        sources = [m.render() for m in report.witness.source_monomials]
+        document["witness"] = {"sources": sources, "image": report.witness.image}
+    if report.verdicts is not None:
+        document["verdicts"] = [
+            {"name": v.name, "passed": v.passed, "detail": v.detail} for v in report.verdicts
+        ]
+    document["assumptions"] = list(report.assumptions)
+    if report.homotopy is not None:
+        h = report.homotopy
+        document["verdicts"] = [
+            {"name": "gap", "passed": h.gap_verified},
+            {"name": "tensor_identity", "passed": h.tensor_identity},
+            {"name": "nonnegativity", "passed": h.nonnegative},
+        ]
+    if report.cotangent is not None:
+        document["cotangent_series"] = [str(c) for c in report.cotangent.coefficients]
+    return document
+
+
 def canonical_document(command, p, n):
     """A listing report's JSON envelope as plain JSON values, its basis the
     canonical names of ``enumerate_monomials``."""
     if command == "collision":
         p, n = 2, 4
-    series = versal.steenrod_series(p, n) if command == "steenrod" else versal.homology_series(p, n)
     names = enumerate_monomials(LISTED[command](p, n), n).names
-    document = {
-        "prime": p,
-        "max_degree": n,
-        "kind": command,
-        "series": [str(c) for c in series.coefficients],
-        "basis": [{"degree": d, "monomials": list(b)} for d, b in enumerate(names)],
-    }
-    if command == "collision":
-        witness = versal.structure_map_collision()
-        sources = [m.render() for m in witness.source_monomials]
-        document["witness"] = {"sources": sources, "image": witness.image}
-    document["assumptions"] = []
-    return document
+    return envelope(cli.COMMANDS[command](p, n), names)
 
 
 def test_homotopy_csv_snapshot(capsys):
@@ -317,19 +335,33 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+SHORT = ("homology", "--prime", "2", "--max-degree", "3")
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("argv", [("homology", "--prime", "2", "--max-degree", "3"),
-                                  ("basis", "--prime", "3", "--max-degree", "40")])
-def test_unwritable_stdout_exits_1(argv, unbuffered):
+@pytest.mark.parametrize("argv,stdout", [
+    pytest.param(SHORT, "/dev/full", marks=NEEDS_DEV_FULL, id="argv0"),
+    pytest.param(("basis", "--prime", "3", "--max-degree", "40"), "/dev/full",
+                 marks=NEEDS_DEV_FULL, id="argv1"),
+    pytest.param(SHORT, None, id="closed"),
+])
+def test_unwritable_stdout_exits_1(argv, stdout, unbuffered):
     # Short text stays in a buffered stdout until the flush; long text is
-    # written at once; PYTHONUNBUFFERED writes without a buffer.
+    # written at once; PYTHONUNBUFFERED writes without a buffer.  A child
+    # whose file descriptor 1 is closed (``>&-``) starts with sys.stdout None.
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "versalp.cli", *argv], env=env,
-                              stdout=full, stderr=subprocess.PIPE, timeout=60)
-    reason = os.strerror(errno.ENOSPC)
+    command = [sys.executable, "-m", "versalp.cli", *argv]
+    if stdout is None:
+        proc = subprocess.run(command, env=env, preexec_fn=lambda: os.close(1),
+                              stderr=subprocess.PIPE, timeout=60)
+        reason = os.strerror(errno.EBADF)
+    else:
+        with open(stdout, "wb") as target:
+            proc = subprocess.run(command, env=env, stdout=target, stderr=subprocess.PIPE,
+                                  timeout=60)
+        reason = os.strerror(errno.ENOSPC)
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"versalp: error: cannot write stdout: {reason}\n"
 
@@ -540,31 +572,55 @@ def test_json_listing_escapes_each_piece_once(monkeypatch, capsys, argv):
     assert len(calls) <= pieces + 2 + envelope < monomials / 4, (len(calls), monomials)
 
 
-# JSON values of the kinds reports hold, and the characters the encoder must
-# escape: full-Unicode text, integers past 64 bits, bools and None, empty
-# containers, lists of strings only and lists of mixed values.
-JSON_SCALARS = st.one_of(
-    st.text(), st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none()
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(st.text()),
-        st.lists(st.text()).map(tuple),
-        st.lists(inner),
-        st.lists(inner).map(tuple),
-        st.dictionaries(st.text(), inner),
-    ),
-    max_leaves=20,
-)
+SOURCES = versal.structure_map_collision().source_monomials
+
+# Full-Unicode text, which holds every character the encoder must escape, and
+# integers past 64 bits.
+TEXT = st.text()
+BIG = st.integers(min_value=-(2**70), max_value=2**70)
 
 
-@given(JSON_VALUES)
-@example({"degree": 2, "monomials": []})
-@example(canonical_document("collision", 2, 4))  # the collision envelope
-@example(["\u00b7", '"', "\\", "\x00\x1f\n", "\U0001f600", [], {}, 2**64 + 1, True, None])
-def test_json_text_equals_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+@st.composite
+def reports(draw):
+    """A report of any envelope shape, with arbitrary text and integers, and
+    the plain names of its basis (a bucket per degree from 0, or None)."""
+    verdicts = homotopy = cotangent = None
+    ending = draw(st.sampled_from(["assumptions", "verify", "homotopy", "taq"]))
+    if ending == "verify":
+        verdicts = tuple(draw(st.lists(st.builds(versal.Verdict, TEXT, st.booleans(), TEXT))))
+    elif ending == "homotopy":
+        # The envelope reads only the three outcomes.
+        gap, nonnegative, tensor = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+        homotopy = versal.HomotopyReport(0, 0, None, None, gap, None, nonnegative, tensor)
+    elif ending == "taq":
+        coefficients = draw(st.lists(BIG, min_size=1))
+        cotangent = versal.TruncatedSeries(len(coefficients) - 1, coefficients)
+    report = cli.Report(
+        draw(TEXT), draw(BIG), draw(st.integers(min_value=0, max_value=2**70)),
+        tuple(draw(st.lists(BIG, min_size=1))), tuple(draw(st.lists(TEXT))),
+        witness=draw(st.none() | st.builds(versal.CollisionWitness, st.just(SOURCES), TEXT)),
+        verdicts=verdicts, homotopy=homotopy, cotangent=cotangent,
+    )
+    return report, draw(st.none() | st.lists(st.lists(TEXT), min_size=1))
+
+
+COLLISION = cli.COMMANDS["collision"](2, 4)
+AWKWARD = ['"', "\\", "\x00\x1f\n", "\u00b7", "\U0001f600"]
+
+
+@given(reports())
+@example((cli.COMMANDS["homotopy"](2, 40), None))  # verdicts without a detail
+@example((cli.COMMANDS["taq"](3, 9), None))
+@example((COLLISION, cli._names(COLLISION)))
+@example((cli.Report("".join(AWKWARD), 2, 1, (-(2**64) - 1, 2**64), tuple(AWKWARD),
+                     verdicts=tuple(versal.Verdict(s, False, s) for s in AWKWARD)),
+          [[], AWKWARD]))
+def test_json_text_equals_json_dumps_of_the_envelope(case):
+    report, buckets = case
+    encode = json.encoder.encode_basestring_ascii
+    escaped = None if buckets is None else [[encode(s)[1:-1] for s in b] for b in buckets]
+    expected = json.dumps(envelope(report, buckets), indent=2) + "\n"
+    assert cli._json_text(report, escaped) == expected
 
 
 @pytest.mark.parametrize("argv", [
