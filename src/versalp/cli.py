@@ -178,14 +178,12 @@ def _json_text(r: Report, names: list[list[str]] | None) -> str:
     parts = [f'{{\n  "prime": {r.prime},\n  "max_degree": {r.max_degree},\n  "kind": ',
              encode(r.kind), ',\n  "series": ', array([encode(str(c)) for c in r.series])]
     if names is not None:
-        parts.append(',\n  "basis": [')
-        for d, bucket in enumerate(names):
-            parts.append(f'{"," if d else ""}\n    {{\n      "degree": {d},\n      "monomials": ')
-            if bucket:
-                parts.extend(('[\n        "', '",\n        "'.join(bucket), '"\n      ]\n    }'))
-            else:
-                parts.append("[]\n    }")
-        parts.append("\n  ]")
+        parts.extend((',\n  "basis": ', array([
+            f'{{\n      "degree": {d},\n      "monomials": '
+            + array(['"' + '",\n        "'.join(bucket) + '"'] if bucket else [], "\n      ")
+            + "\n    }"
+            for d, bucket in enumerate(names)
+        ])))
     if r.witness is not None:
         sources = array(list(map(encode, _sources(r.witness))), "\n    ")
         parts.extend((',\n  "witness": {\n    "sources": ', sources,

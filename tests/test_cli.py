@@ -70,8 +70,10 @@ def canonical_document(command, p, n):
     canonical names of ``enumerate_monomials``."""
     if command == "collision":
         p, n = 2, 4
+    series = versal.steenrod_series(p, n) if command == "steenrod" else versal.homology_series(p, n)
+    witness = versal.structure_map_collision() if command == "collision" else None
     names = enumerate_monomials(LISTED[command](p, n), n).names
-    return envelope(cli.COMMANDS[command](p, n), names)
+    return envelope(cli.Report(command, p, n, series.coefficients, witness=witness), names)
 
 
 def test_homotopy_csv_snapshot(capsys):
