@@ -23,9 +23,10 @@ from .free_algebra import GeneratorSet, enumerate_monomials, list_names  # noqa:
 from .power_series import TruncatedSeries
 from .primes import PRIME_LIMIT, is_prime
 from .steenrod_dual import milnor_generator_degrees
+from .value import Value
 
 
-class Report:
+class Report(Value):
     """One subcommand's result, formatted by ``render``.
 
     Every report has the envelope fields and at most one of the optional
@@ -51,17 +52,8 @@ class Report:
         homotopy: versal.HomotopyReport | None = None,
         cotangent: TruncatedSeries | None = None,
     ) -> None:
-        self.kind = kind
-        self.prime = prime
-        self.max_degree = max_degree
-        self.series = series
-        self.assumptions = assumptions
-        self.scalar_name = scalar_name
-        self.generators = generators
-        self.witness = witness
-        self.verdicts = verdicts
-        self.homotopy = homotopy
-        self.cotangent = cotangent
+        super().__init__(kind, prime, max_degree, series, assumptions, scalar_name, generators,
+                         witness, verdicts, homotopy, cotangent)
 
     @property
     def failed(self) -> bool:

@@ -30,9 +30,7 @@ class Generator(Value):
             raise ValueError(f"generator degree must be >= 1, got {degree}")
         if kind not in KINDS:
             raise ValueError(f"generator kind must be one of {KINDS}, got {kind!r}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "kind", kind)
+        super().__init__(label, degree, kind)
 
 
 def _generator_key(g: Generator) -> tuple[int, str]:
@@ -53,7 +51,7 @@ class GeneratorSet(Value):
             if g.label in seen:
                 raise ValueError(f"duplicate generator label {g.label!r}")
             seen.add(g.label)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.entries)
@@ -88,7 +86,7 @@ class Monomial(Value):
             if last is not None and key <= last:
                 raise ValueError("monomial factors must be strictly (degree, label) ordered")
             last = key
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
 
     @property
     def degree(self) -> int:
@@ -127,25 +125,16 @@ class MonomialBasis(Value):
     the same recurrence on first read.
     """
 
-    # cached_property stores ``buckets`` in ``__dict__``, which is no field.
+    # cached_property stores ``buckets`` in ``__dict__``.
     __slots__ = ("generators", "truncation_degree", "names", "__dict__")
 
     generators: GeneratorSet
     truncation_degree: int
     names: tuple[tuple[str, ...], ...]
 
-    def __init__(self, generators: GeneratorSet, truncation_degree: int,
-                 names: tuple[tuple[str, ...], ...]) -> None:
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "truncation_degree", truncation_degree)
-        object.__setattr__(self, "names", names)
-
-    def _fields(self) -> tuple:
-        return (self.generators, self.truncation_degree, self.names)
-
     @cached_property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
-        listing = _listing(self.generators, self.truncation_degree, (), _factor, _same)
+        listing = _listing(self.generators, self.truncation_degree, (), _factor, ())
         return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
@@ -167,16 +156,12 @@ def _factor(g: Generator, e: int) -> tuple[tuple[Generator, int], ...]:
     return ((g, e),)
 
 
-def _same(x):
-    return x
-
-
-def _listing(gens: GeneratorSet, n: int, unit, power, joined) -> list[list]:
+def _listing(gens: GeneratorSet, n: int, unit, power, joiner) -> list[list]:
     """The basis in degrees 0..n, one element per monomial: ``unit`` for the
-    empty monomial, ``power(g, e)`` for g^e alone, and ``joined(power(g, e))
+    empty monomial, ``power(g, e)`` for g^e alone, and ``power(g, e) + joiner
     + rest`` for g^e times a monomial ``rest`` in later generators.  Strings
-    (names) and factor tuples both fit.  ``power`` and ``joined`` run once
-    per (generator, exponent), never per monomial.
+    (names) and factor tuples both fit.  ``power`` and the join with
+    ``joiner`` run once per (generator, exponent), never per monomial.
 
     The fold of series_of over lists: after folding the generators from
     position i on, buckets[t] holds their products of degree t.  Prepending
@@ -190,7 +175,7 @@ def _listing(gens: GeneratorSet, n: int, unit, power, joined) -> list[list]:
         top = 1 if exterior else n // d
         # One element per exponent, shared by every monomial that has it.
         powers = [power(g, e) for e in range(1, top + 1)]
-        prepends = [joined(x).__add__ for x in powers]
+        prepends = [(x + joiner).__add__ for x in powers]
         for t in range(n, d - 1, -1):
             # t <= n, so t // d never exceeds top for a polynomial generator.
             hi = 1 if exterior else t // d
@@ -219,9 +204,8 @@ def list_names(gens: GeneratorSet, truncation_degree: int, encode=str) -> list[l
     """
     if truncation_degree < 0:
         raise ValueError(f"truncation degree must be >= 0, got {truncation_degree}")
-    joiner = encode("·")
     return _listing(gens, truncation_degree, encode("1"),
-                    lambda g, e: encode(_piece(g, e)), lambda x: x + joiner)
+                    lambda g, e: encode(_piece(g, e)), encode("·"))
 
 
 def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialBasis:

@@ -52,8 +52,7 @@ class TruncatedSeries(Value):
                 f"need exactly {truncation_degree + 1} coefficients, "
                 f"got {len(coefficients)}"
             )
-        object.__setattr__(self, "truncation_degree", truncation_degree)
-        object.__setattr__(self, "coefficients", coefficients)
+        super().__init__(truncation_degree, coefficients)
 
     @classmethod
     def from_coefficients(

@@ -6,16 +6,14 @@ time than any report it answers takes."""
 class Value:
     """An immutable value whose fields are its class's ``__slots__``.
 
-    ``__init__`` sets each field once with ``object.__setattr__``; any later
-    assignment or deletion raises AttributeError.  Two values are equal when
-    they are of the same class and their fields are equal, and equal values
-    hash alike.
+    ``__init__`` takes the fields in slot order and sets each once; any
+    later assignment or deletion raises AttributeError.  Two values are
+    equal when they are of the same class and their fields are equal, and
+    equal values hash alike.  A ``__dict__`` slot, which makes room for
+    ``functools.cached_property``, is no field.
 
     >>> class Point(Value):
     ...     __slots__ = ("x", "y")
-    ...     def __init__(self, x, y):
-    ...         object.__setattr__(self, "x", x)
-    ...         object.__setattr__(self, "y", y)
     >>> Point(1, 2) == Point(1, 2), Point(1, 2) == (1, 2)
     (True, False)
     >>> Point(1, 2)
@@ -24,8 +22,18 @@ class Value:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._field_names = tuple(n for n in cls.__slots__ if n != "__dict__")
+
+    def __init__(self, *fields) -> None:
+        names = self._field_names
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
+
     def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+        return tuple(map(self.__getattribute__, self._field_names))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -42,5 +50,5 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._field_names, self._fields()))
         return f"{type(self).__name__}({fields})"

@@ -51,25 +51,20 @@ def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
     return series_of(milnor_generator_degrees(p, max_degree), max_degree)
 
 
-class HomotopyReport:
+class HomotopyReport(Value):
     """The series of ``homotopy_report`` and the outcome of each identity."""
 
     __slots__ = ("prime", "truncation_degree", "homology_series", "homotopy_series",
-                 "gap_verified", "first_positive_nonzero_degree", "nonnegative",
-                 "tensor_identity")
+                 "gap_verified", "first_positive_nonzero_degree", "nonnegative", "tensor_identity")
 
-    def __init__(self, prime: int, truncation_degree: int,
-                 homology_series: TruncatedSeries, homotopy_series: TruncatedSeries,
-                 gap_verified: bool, first_positive_nonzero_degree: int | None,
-                 nonnegative: bool, tensor_identity: bool) -> None:
-        self.prime = prime
-        self.truncation_degree = truncation_degree
-        self.homology_series = homology_series
-        self.homotopy_series = homotopy_series
-        self.gap_verified = gap_verified
-        self.first_positive_nonzero_degree = first_positive_nonzero_degree
-        self.nonnegative = nonnegative
-        self.tensor_identity = tensor_identity
+    prime: int
+    truncation_degree: int
+    homology_series: TruncatedSeries
+    homotopy_series: TruncatedSeries
+    gap_verified: bool
+    first_positive_nonzero_degree: int | None
+    nonnegative: bool
+    tensor_identity: bool
 
 
 def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
@@ -125,26 +120,32 @@ def homotopy_series(p: int, max_degree: int) -> HomotopyReport:
     return _checked(homotopy_report(p, max_degree))
 
 
+def _selfmap_degree(report: HomotopyReport) -> int:
+    """One below the first positive-degree class of the ``_checked`` report."""
+    first = _checked(report).first_positive_nonzero_degree
+    if first is None:
+        raise VerificationError(f"no nonzero positive coefficient up to degree "
+                                f"{report.truncation_degree} at p={report.prime}")
+    return first - 1
+
+
 def selfmap_first_nontrivial(p: int) -> int:
     """Dimension of the first nontrivial homotopy of the self-map space,
     one below the first positive-degree class; computed from the series."""
-    report = homotopy_series(p, 4 * (p - 1))
-    if report.first_positive_nonzero_degree is None:
-        raise VerificationError(
-            f"no nonzero positive coefficient up to degree {4 * (p - 1)} at p={p}"
-        )
-    return report.first_positive_nonzero_degree - 1
+    return _selfmap_degree(homotopy_series(p, 4 * (p - 1)))
+
+
+def _equivalences(p: int, h1: int) -> int:
+    """p - 1, when the degree-1 homology dimension ``h1`` is 1."""
+    if h1 != 1:
+        raise VerificationError(f"H_1 dimension is {h1}, not 1; the p - 1 count does not apply")
+    return p - 1
 
 
 def equivalence_count(p: int) -> int:
     """Number of homotopy classes of equivalences, p - 1; valid only while
     the degree-1 homology is one-dimensional, so that is checked first."""
-    h1 = homology_series(p, 1).coefficient(1)
-    if h1 != 1:
-        raise VerificationError(
-            f"H_1 dimension is {h1}, not 1; the p - 1 count does not apply"
-        )
-    return p - 1
+    return _equivalences(p, homology_series(p, 1).coefficient(1))
 
 
 def thh_homology_series(p: int, max_degree: int) -> TruncatedSeries:
@@ -200,7 +201,7 @@ def hz_quotient_comparison(p: int, max_degree: int) -> int:
     return _first_difference(homology_series(p, max_degree))
 
 
-class CollisionWitness:
+class CollisionWitness(Value):
     __slots__ = ("source_monomials", "image")
 
     def __init__(self, source_monomials: tuple[Monomial, Monomial], image: str) -> None:
@@ -209,8 +210,7 @@ class CollisionWitness:
             raise ValueError("collision sources must be distinct")
         if first.degree != 4 or second.degree != 4:
             raise ValueError("collision sources must live in degree 4")
-        self.source_monomials = source_monomials
-        self.image = image
+        super().__init__(source_monomials, image)
 
 
 # Stored relations for the structure map to unoriented bordism at p = 2:
@@ -256,9 +256,7 @@ class Verdict(Value):
     detail: str
 
     def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(name, passed, detail)
 
 
 def _verdict_from(name: str, thunk) -> Verdict:
@@ -290,47 +288,19 @@ def battery_verdicts(report: HomotopyReport) -> tuple[Verdict, ...]:
     p, max_degree = report.prime, report.truncation_degree
     top = 4 * (p - 1)
     low = report if max_degree >= top else homotopy_report(p, top)
-    quo = report.homotopy_series
     h1 = low.homology_series.coefficient(1)
-    checks = [
-        Verdict("nonnegativity", report.nonnegative,
-                f"min coefficient {min(quo.coefficients)}"),
-        Verdict("tensor_identity", report.tensor_identity,
-                "homotopy * steenrod == homology"),
-    ]
-
-    def gap_check():
-        gap = _checked(report).gap_verified
-        return gap, f"checked through degree {max_degree}"
-
-    checks.append(_verdict_from("gap", gap_check))
-    checks.append(Verdict("h1_dimension", h1 == 1, f"H_1 dimension {h1}"))
-    checks.append(Verdict("equivalence_count", h1 == 1, f"count {p - 1}" if h1 == 1 else
-                          f"H_1 dimension is {h1}, not 1; the p - 1 count does not apply"))
 
     def selfmap_check():
-        first = _checked(low).first_positive_nonzero_degree
-        if first is None:
-            return False, (f"no nonzero positive coefficient up to degree "
-                           f"{low.truncation_degree} at p={p}")
-        return first == top, f"degree {first - 1}"
-
-    checks.append(_verdict_from("selfmap_degree", selfmap_check))
+        d = _selfmap_degree(low)
+        return d == top - 1, f"degree {d}"
 
     def hz_check():
         d = _first_difference(low.homology_series)
-        expected = 2 if p == 2 else 2 * p - 2
-        return d == expected, f"first difference at degree {d}"
-
-    checks.append(_verdict_from("hz_first_difference", hz_check))
+        return d == 2 * p - 2, f"first difference at degree {d}"
 
     def taq_check():
-        bound = max(max_degree, 1)
-        taq = taq_dimensions(p, bound).coefficients
-        ok = taq[1] == 1 and sum(taq) == 1
-        return ok, "single 1 in degree 1"
-
-    checks.append(_verdict_from("taq_dimensions", taq_check))
+        taq = taq_dimensions(p, max(max_degree, 1)).coefficients
+        return taq[1] == 1 and sum(taq) == 1, "single 1 in degree 1"
 
     def cotangent_check():
         # t * homotopy * steenrod == t * homology, read in degrees 0 and N.
@@ -341,36 +311,40 @@ def battery_verdicts(report: HomotopyReport) -> tuple[Verdict, ...]:
             ok = ok and top == report.homology_series.coefficient(max_degree - 1)
         return ok, "equals t * homotopy"
 
-    checks.append(_verdict_from("cotangent_shift", cotangent_check))
-
     def basis_check():
         bound = min(max_degree, 20)
         dims = enumerate_monomials(enumerate_generators(p, 1, bound), bound).dimensions()
         ok = dims == list(report.homology_series.coefficients[: bound + 1])
         return ok, f"monomial counts match series through degree {bound}"
 
-    checks.append(_verdict_from("basis_series_agreement", basis_check))
-
     def thh_check():
         bound = min(max_degree, 10)
-        fast = thh_homology_series(p, bound)
-        merged = enumerate_generators(p, 1, bound).merged(
-            enumerate_generators(p, 2, bound, symbol="b")
-        )
-        dims = enumerate_monomials(merged, bound).dimensions()
-        ok = dims == list(fast.coefficients)
+        fast = thh_homology_series(p, bound).coefficients
+        gens = enumerate_generators(p, 1, bound).merged(
+            enumerate_generators(p, 2, bound, symbol="b"))
+        ok = enumerate_monomials(gens, bound).dimensions() == list(fast)
         return ok, f"tensor enumeration matches through degree {bound}"
 
-    checks.append(_verdict_from("thh_tensor", thh_check))
+    def collision_check():
+        witness = structure_map_collision()
+        sources = {m.render() for m in witness.source_monomials}
+        ok = sources == {"Q^3 a", "a^4"} and witness.image == "e_1^4"
+        return ok, f"{sorted(sources)} -> {witness.image}"
 
+    checks = [
+        ("nonnegativity", lambda: (report.nonnegative,
+                                   f"min coefficient {min(report.homotopy_series.coefficients)}")),
+        ("tensor_identity", lambda: (report.tensor_identity, "homotopy * steenrod == homology")),
+        ("gap", lambda: (_checked(report).gap_verified, f"checked through degree {max_degree}")),
+        ("h1_dimension", lambda: (h1 == 1, f"H_1 dimension {h1}")),
+        ("equivalence_count", lambda: (True, f"count {_equivalences(p, h1)}")),
+        ("selfmap_degree", selfmap_check),
+        ("hz_first_difference", hz_check),
+        ("taq_dimensions", taq_check),
+        ("cotangent_shift", cotangent_check),
+        ("basis_series_agreement", basis_check),
+        ("thh_tensor", thh_check),
+    ]
     if p == 2:
-
-        def collision_check():
-            witness = structure_map_collision()
-            sources = {m.render() for m in witness.source_monomials}
-            ok = sources == {"Q^3 a", "a^4"} and witness.image == "e_1^4"
-            return ok, f"{sorted(sources)} -> {witness.image}"
-
-        checks.append(_verdict_from("collision_witness", collision_check))
-
-    return tuple(checks)
+        checks.append(("collision_witness", collision_check))
+    return tuple(_verdict_from(name, check) for name, check in checks)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from versalp import cli
 from versalp.free_algebra import Generator, GeneratorSet, Monomial, enumerate_monomials
 from versalp.power_series import TruncatedSeries
-from versalp.versal import Verdict
+from versalp.versal import CollisionWitness, HomotopyReport, Verdict, homotopy_report
+from versalp.versal import structure_map_collision
 
 
 def _generators():
@@ -23,6 +25,10 @@ VALUES = {
     "MonomialBasis": (lambda: enumerate_monomials(_generators(), 6),
                       lambda: enumerate_monomials(_generators(), 5)),
     "Verdict": (lambda: Verdict("gap", True), lambda: Verdict("gap", True, "detail")),
+    "HomotopyReport": (lambda: homotopy_report(2, 8), lambda: homotopy_report(2, 9)),
+    "CollisionWitness": (structure_map_collision, lambda: CollisionWitness(
+        structure_map_collision().source_monomials, "e_1^5")),
+    "Report": (lambda: cli.COMMANDS["homology"](2, 4), lambda: cli.COMMANDS["homology"](2, 5)),
 }
 
 
@@ -44,7 +50,7 @@ def test_values_of_another_class_never_compare_equal(name):
         if other_name != name:
             assert a != make() and not a == make()
     fields = tuple(getattr(a, f) for f in ("coefficients", "label", "entries", "factors",
-                                           "names", "name") if hasattr(a, f))
+                                           "names", "name", "prime", "image") if hasattr(a, f))
     assert fields and a != fields[0] and a != fields
 
 
@@ -52,7 +58,7 @@ def test_values_of_another_class_never_compare_equal(name):
 def test_assignment_raises_attribute_error(name):
     a = VALUES[name][0]()
     field = next(f for f in ("truncation_degree", "label", "entries", "factors", "names",
-                             "prime", "name") if hasattr(a, f))
+                             "prime", "name", "image") if hasattr(a, f))
     before = getattr(a, field)
     with pytest.raises(AttributeError):
         setattr(a, field, before)
@@ -68,3 +74,10 @@ def test_new_attributes_raise_attribute_error(name):
     with pytest.raises(AttributeError):
         a.unknown_field = 1
     assert not hasattr(a, "unknown_field")
+
+
+def test_a_wrong_number_of_fields_raises_type_error():
+    with pytest.raises(TypeError):
+        HomotopyReport(2, 8, None, None, True, 4, True)
+    with pytest.raises(TypeError):
+        Verdict("gap", True, "detail", "extra")

@@ -221,6 +221,26 @@ def test_verification_battery_reports_failures(monkeypatch, capsys):
     assert "FAIL  cotangent_shift" in capsys.readouterr().out
 
 
+def test_fixed_scale_checks_fail_with_the_library_errors(monkeypatch):
+    # H_1 = 2 and a quotient with no positive-degree class: the battery's
+    # fixed-scale checks fail with the texts the library functions raise.
+    hom = TruncatedSeries.from_coefficients((1, 2), 8)
+    report = versal.HomotopyReport(3, 8, hom, TruncatedSeries.one(8), True, None, True, True)
+    details = {v.name: v.detail for v in versal.battery_verdicts(report) if not v.passed}
+    monkeypatch.setattr(versal, "homology_series", lambda p, n: hom)
+    monkeypatch.setattr(versal, "homotopy_series", lambda p, n: report)
+    with pytest.raises(VerificationError) as equivalences:
+        versal.equivalence_count(3)
+    with pytest.raises(VerificationError) as selfmap:
+        versal.selfmap_first_nontrivial(3)
+    assert details["h1_dimension"] == "H_1 dimension 2"
+    assert details["equivalence_count"] == str(equivalences.value)
+    assert details["selfmap_degree"] == str(selfmap.value)
+    assert str(equivalences.value) == (
+        "H_1 dimension is 2, not 1; the p - 1 count does not apply")
+    assert str(selfmap.value) == "no nonzero positive coefficient up to degree 8 at p=3"
+
+
 def _count_calls(monkeypatch, name):
     """The arguments of every ``versal.<name>`` call from now on."""
     function = getattr(versal, name)
