@@ -44,60 +44,11 @@ def _render_word(p: int, entries: tuple, symbol: str) -> str:
     return " ".join(ops) + " " + symbol
 
 
-def _generator_words_p2(n: int, budget: int) -> list[tuple]:
-    """All admissible p=2 words of excess > n and word degree <= budget.
-
-    Tails of qualifying words qualify: 2*i_1 > sum + n and i_1 <= 2*i_2
-    force 2*i_2 - (sum - i_1) > n.  So the search extends qualifying words
-    on the left only, which makes it output-linear.  A left extension i_0
-    of a word with sum S needs i_0 >= S + n + 1 (excess), i_0 <= 2*first
-    (admissibility) and S + i_0 <= budget.
-    """
-    found: list[tuple] = []
-
-    def extend(word: tuple, total: int) -> None:
-        found.append(word)
-        top = min(2 * word[0], budget - total)
-        for i0 in range(total + n + 1, top + 1):
-            extend((i0,) + word, total + i0)
-
-    for i in range(n + 1, budget + 1):
-        extend((i,), i)
-    return found
-
-
-def _generator_words_odd(p: int, n: int, budget: int) -> list[tuple]:
-    """Odd-p analogue of the excess-closed left-extension search.
-
-    For the excess of an extension only the tail sum T = sum of
-    (2*s_j*(p-1) + eps_j) matters: the new head (eps_0, s_0) needs
-    2*s_0 - T > n, plus admissibility s_0 <= p*s_1 - eps_1 and the
-    degree budget.
-    """
-    found: list[tuple] = []
-
-    def word_contrib(eps: int, s: int) -> int:
-        return 2 * s * (p - 1) - eps
-
-    def extend(word: tuple, wdeg: int, tail_t: int) -> None:
-        found.append(word)
-        eps1, s1 = word[0]
-        t = tail_t + 2 * s1 * (p - 1) + eps1
-        s_lo = (t + n) // 2 + 1
-        s_hi = p * s1 - eps1
-        for eps0 in (0, 1):
-            for s0 in range(s_lo, s_hi + 1):
-                c = word_contrib(eps0, s0)
-                if wdeg + c > budget:
-                    break
-                extend(((eps0, s0),) + word, wdeg + c, t)
-
-    for eps in (0, 1):
-        s = n // 2 + 1
-        while word_contrib(eps, s) <= budget:
-            extend(((eps, s),), word_contrib(eps, s), 0)
-            s += 1
-    return found
+def _operations(p: int) -> tuple[int, tuple[int, ...]]:
+    """(q, bocksteins): an operation (eps, s) adds q s (p - 1) - eps to the
+    degree, eps in bocksteins.  The p = 2 operations Q^s are the odd-prime
+    beta^eps Q^s with eps = 0 and q = 1 (May 1970)."""
+    return (1, (0,)) if p == 2 else (2, (0, 1))
 
 
 def _check_arguments(p: int, gen_degree: int, max_degree: int) -> None:
@@ -110,14 +61,39 @@ def _check_arguments(p: int, gen_degree: int, max_degree: int) -> None:
 
 def _raw_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
     """Entry tuples of the empty word ``()`` and of every admissible word with
-    excess > gen_degree and total degree <= max_degree, in search order."""
+    excess > gen_degree and total degree <= max_degree, in search order.
+
+    Tails of qualifying words qualify, so the search extends qualifying
+    words on the left only, and its cost scales with the output.  For the
+    excess of an extension only the tail sum T = sum of (q s_j (p - 1) +
+    eps_j) matters: a new head (eps_0, s_0) needs q s_0 - T > n, plus
+    admissibility s_0 <= p s_1 - eps_1 and the degree budget.  An entry is
+    the pair (eps, s), or at p = 2 the bare s.
+    """
     _check_arguments(p, gen_degree, max_degree)
     if gen_degree > max_degree:
         return []
-    budget = max_degree - gen_degree
-    if p == 2:
-        return [()] + _generator_words_p2(gen_degree, budget)
-    return [()] + _generator_words_odd(p, gen_degree, budget)
+    n, budget = gen_degree, max_degree - gen_degree
+    q, bocksteins = _operations(p)
+    step = q * (p - 1)
+    found: list[tuple] = [()]
+
+    def extend(word: tuple, eps1: int, s1: int, wdeg: int, tail: int) -> None:
+        found.append(word)
+        t = tail + step * s1 + eps1
+        for eps0 in bocksteins:
+            for s0 in range((t + n) // q + 1, p * s1 - eps1 + 1):
+                d = wdeg + step * s0 - eps0
+                if d > budget:
+                    break
+                extend(((eps0, s0) if q == 2 else s0,) + word, eps0, s0, d, t)
+
+    for eps in bocksteins:
+        s = n // q + 1
+        while step * s - eps <= budget:
+            extend(((eps, s) if q == 2 else s,), eps, s, step * s - eps, 0)
+            s += 1
+    return found
 
 
 def generator_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
@@ -128,27 +104,28 @@ def generator_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
 
 
 def _minimal_word_degrees(p: int, n: int, k: int) -> list[int]:
-    """Word degree of the least word of length k and excess > n: one at
-    p = 2, one per Bockstein pattern eps_1..eps_k at odd p.
+    """Word degree of the least word of length k and excess > n, one per
+    Bockstein pattern eps_1..eps_k (one pattern at p = 2).
 
-    At p = 2, with eps_j = 2 i_{j+1} - i_j >= 0, a word of excess e has
-    degree (2^k - 1) e + sum_j (2^k - 2^j) eps_j.  At odd p, with delta_j =
-    p s_{j+1} - eps_{j+1} - s_j >= 0, the excess is 2 s_k - 3 sum_{j>=2}
-    eps_j - 2 sum_j delta_j and the degree rises by 2(p^k - p^j) per unit
-    of delta_j.  The least word has every eps_j (p = 2) or delta_j zero and
-    the least excess > n, of the parity of sum_{j>=2} eps_j at odd p.
+    With delta_j = p s_{j+1} - eps_{j+1} - s_j >= 0 and T = sum_{j>=2}
+    eps_j, a word's excess is q s_k - 3 T - q sum_j delta_j (Bocksteins
+    only occur at q = 2), and its degree rises by q (p^k - p^j) per unit of
+    delta_j.  The least word has every delta_j zero and the least excess
+    > n that is congruent to -3 T mod q; each entry adds q s (p - 1) - eps.
+
+    >>> _minimal_word_degrees(2, 1, 3), _minimal_word_degrees(3, 1, 1)
+    ([14], [4, 3])
     """
-    if p == 2:
-        return [(2**k - 1) * (n + 1)]
+    q, bocksteins = _operations(p)
     degrees = []
-    for eps in product((0, 1), repeat=k):
+    for eps in product(bocksteins, repeat=k):
         tail = sum(eps[1:])
-        excess = n + 1 + (n + 1 + tail) % 2
-        s = (excess + 3 * tail) // 2
-        degree = 2 * s * (p - 1) - eps[-1]
+        excess = n + 1 + (n + 1 + tail) % q
+        s = (excess + 3 * tail) // q
+        degree = q * s * (p - 1) - eps[-1]
         for j in range(k - 2, -1, -1):
             s = p * s - eps[j + 1]
-            degree += 2 * s * (p - 1) - eps[j]
+            degree += q * s * (p - 1) - eps[j]
         degrees.append(degree)
     return degrees
 
@@ -160,8 +137,8 @@ def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[in
 
     The words of one length k have the series sum t^w over the least words'
     degrees w (``_minimal_word_degrees``), divided by the Dickson-invariant
-    denominator prod_{0<=j<k} (1 - t^(q (p^k - p^j))), q = 1 at p = 2 and 2
-    at odd p (Dickson 1911): one O(N) pass per factor.  The lengths stop at
+    denominator prod_{0<=j<k} (1 - t^(q (p^k - p^j))), q from ``_operations``
+    (Dickson 1911): one O(N) pass per factor.  The lengths stop at
     the first with no word in range, as a word's tails qualify too.
 
     >>> generator_degree_counts(2, 1, 6)
@@ -172,7 +149,7 @@ def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[in
     if gen_degree > max_degree:
         return counts
     counts[gen_degree] = 1
-    scale = 1 if p == 2 else 2
+    q, _ = _operations(p)
     for k in count(1):
         starts = [gen_degree + w for w in _minimal_word_degrees(p, gen_degree, k)]
         starts = [d for d in starts if d <= max_degree]
@@ -182,7 +159,7 @@ def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[in
         for d in starts:
             series[d] += 1
         for j in range(k):
-            step = scale * (p**k - p**j)
+            step = q * (p**k - p**j)
             for i in range(min(starts) + step, max_degree + 1):
                 series[i] += series[i - step]
         counts = list(map(add, counts, series))

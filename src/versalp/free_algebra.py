@@ -10,7 +10,6 @@ the per-generator factors.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 
 from .power_series import EXTERIOR, KINDS, POLYNOMIAL, TruncatedSeries, product_over_generators
 from .value import Value
@@ -122,17 +121,16 @@ class MonomialBasis(Value):
     ``names[d]`` lists the rendered monomials of degree d and is built
     eagerly; ``buckets[d]`` holds the same monomials as ``Monomial``s, in the
     same order (``names[d][i] == buckets[d][i].render()``), and is built by
-    the same recurrence on first read.
+    the same recurrence on each read.
     """
 
-    # cached_property stores ``buckets`` in ``__dict__``.
-    __slots__ = ("generators", "truncation_degree", "names", "__dict__")
+    __slots__ = ("generators", "truncation_degree", "names")
 
     generators: GeneratorSet
     truncation_degree: int
     names: tuple[tuple[str, ...], ...]
 
-    @cached_property
+    @property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
         listing = _listing(self.generators, self.truncation_degree, (), _factor, ())
         return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
@@ -214,7 +212,7 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     Within a degree, monomials appear in descending lexicographic order of
     their exponent vectors over the canonical generator order, so pure
     powers of the lowest generator come first.  Only the names are built
-    here; the ``Monomial``s wait for the first read of ``buckets``.
+    here; the ``Monomial``s wait for a read of ``buckets``.
     """
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))

@@ -9,8 +9,7 @@ class Value:
     ``__init__`` takes the fields in slot order and sets each once; any
     later assignment or deletion raises AttributeError.  Two values are
     equal when they are of the same class and their fields are equal, and
-    equal values hash alike.  A ``__dict__`` slot, which makes room for
-    ``functools.cached_property``, is no field.
+    equal values hash alike.
 
     >>> class Point(Value):
     ...     __slots__ = ("x", "y")
@@ -23,7 +22,7 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._field_names = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._field_names = tuple(cls.__slots__)
 
     def __init__(self, *fields) -> None:
         names = self._field_names

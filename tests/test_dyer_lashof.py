@@ -58,9 +58,13 @@ def test_enumeration_matches_brute_force_through_degree_20(p):
     assert generator_words(p, 1, 20) == _brute_generator_words(p, 1, 20)
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (3, 3)])
-def test_brute_force_other_generator_degrees(p, n):
-    assert generator_words(p, n, 16) == _brute_generator_words(p, n, 16)
+# The p = 5 and 7 rows reach the first two-entry words, with and without a
+# Bockstein (word degrees 47/48 at p = 5, 95/96 at p = 7).
+@pytest.mark.parametrize(
+    "p,n,bound", [(2, 2, 16), (3, 2, 16), (3, 3, 16), (5, 1, 60), (7, 1, 100)]
+)
+def test_brute_force_other_generator_degrees(p, n, bound):
+    assert generator_words(p, n, bound) == _brute_generator_words(p, n, bound)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
