@@ -65,11 +65,10 @@ def _sources(witness: versal.CollisionWitness) -> list[str]:
 
 
 def _names(r: Report, encode=str) -> list[list[str]] | None:
-    """The basis of a listing report in degrees 0..N, each name in the
-    string encoding ``encode``, after checking that every degree holds as
-    many names as the series says: the two are computed independently, from
-    generator counts and from the listing.  Raises VerificationError, before
-    anything is written, when they disagree.  None for other reports."""
+    """The basis of a listing report in degrees 0..N, each name in the string
+    encoding ``encode``, once each degree is checked to hold as many names as
+    the series says, which is computed from generator counts instead.  Raises
+    VerificationError, before anything is written, when they disagree."""
     if r.generators is None:
         return None
     names = list_names(r.generators, r.max_degree, encode)
@@ -142,76 +141,79 @@ def _table(r: Report, names: list[list[str]] | None) -> list[str]:
     return lines
 
 
-def _json_text(r: Report, names: list[list[str]] | None) -> str:
-    """The envelope as ``json.dumps(document, indent=2) + "\\n"`` writes it:
-    prime, max_degree, kind, series, then basis (``names``, JSON-escaped),
-    witness and the verify verdicts, assumptions, and last the homotopy
-    verdicts or the cotangent series.  Strings take one pass of the standard
-    library's C string encoder, where ``json.dumps`` with an indent would run
-    its pure-Python encoder; each escaped bucket is joined once, and the
-    parts are joined once, at the end."""
-    import json  # only JSON output pays for loading the package
-
-    encode = json.encoder.encode_basestring_ascii
-
-    def array(items: list[str], indent: str = "\n  ") -> str:
-        """Items already in JSON, one per line, one level below ``indent``."""
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-
-    def verdicts(rows) -> str:
-        return ',\n  "verdicts": ' + array([
-            '{\n      "name": ' + encode(name) + ',\n      "passed": '
-            + ("true" if passed else "false")
-            + ("" if detail is None else ',\n      "detail": ' + encode(detail)) + "\n    }"
-            for name, passed, detail in rows
-        ])
-
+def _json_parts(r: Report, names: list[list[str]] | None, encode) -> list[str]:
+    """The pieces, in write order, of the envelope as ``json.dumps(document,
+    indent=2) + "\\n"`` writes it: prime, max_degree, kind, series, then basis
+    (``names``, JSON-escaped), witness and the verify verdicts, assumptions,
+    and last the homotopy verdicts or the cotangent series.  ``encode`` is the
+    C string encoder, which ``json.dumps`` with an indent would not use.  Each
+    bucket of the basis is one piece, its names joined once, copied nowhere."""
     parts = [f'{{\n  "prime": {r.prime},\n  "max_degree": {r.max_degree},\n  "kind": ',
-             encode(r.kind), ',\n  "series": ', array([encode(str(c)) for c in r.series])]
+             encode(r.kind), ',\n  "series": ']
+
+    def array(items: list, indent: str = "\n  ", write=None) -> None:
+        """``items`` onto ``parts`` as an array, one a line one level below
+        ``indent``: strings, escaped but unquoted, in one piece, or objects
+        that ``write`` puts there piece by piece."""
+        inner = indent + "  "
+        if not items:
+            parts.append("[]")
+        elif write is None:
+            parts.extend(("[" + inner + '"', ('",' + inner + '"').join(items), '"' + indent + "]"))
+        else:
+            for i, item in enumerate(items):
+                parts.append(("," if i else "[") + inner)
+                write(item)
+            parts.append(indent + "]")
+
+    def verdicts(rows: list[tuple]) -> None:
+        parts.append(',\n  "verdicts": ')
+        array([('{\n      "name": ', encode(name), ',\n      "passed": ',
+                "true" if passed else "false",
+                "" if detail is None else ',\n      "detail": ' + encode(detail), "\n    }")
+               for name, passed, detail in rows], write=parts.extend)
+
+    def bucket(item: tuple) -> None:
+        parts.append(f'{{\n      "degree": {item[0]},\n      "monomials": ')
+        array(item[1], "\n      ")
+        parts.append("\n    }")
+
+    array(list(map(str, r.series)))
     if names is not None:
-        parts.extend((',\n  "basis": ', array([
-            f'{{\n      "degree": {d},\n      "monomials": '
-            + array(['"' + '",\n        "'.join(bucket) + '"'] if bucket else [], "\n      ")
-            + "\n    }"
-            for d, bucket in enumerate(names)
-        ])))
+        parts.append(',\n  "basis": ')
+        array(list(enumerate(names)), write=bucket)
     if r.witness is not None:
-        sources = array(list(map(encode, _sources(r.witness))), "\n    ")
-        parts.extend((',\n  "witness": {\n    "sources": ', sources,
-                      ',\n    "image": ', encode(r.witness.image), "\n  }"))
+        parts.append(',\n  "witness": {\n    "sources": ')
+        array([encode(s)[1:-1] for s in _sources(r.witness)], "\n    ")
+        parts.extend((',\n    "image": ', encode(r.witness.image), "\n  }"))
     if r.verdicts is not None:
-        parts.append(verdicts((v.name, v.passed, v.detail) for v in r.verdicts))
-    parts.extend((',\n  "assumptions": ', array(list(map(encode, r.assumptions)))))
+        verdicts([(v.name, v.passed, v.detail) for v in r.verdicts])
+    parts.append(',\n  "assumptions": ')
+    array([encode(s)[1:-1] for s in r.assumptions])
     if r.homotopy is not None:
         h = r.homotopy
-        parts.append(verdicts((("gap", h.gap_verified, None),
-                               ("tensor_identity", h.tensor_identity, None),
-                               ("nonnegativity", h.nonnegative, None))))
+        verdicts([("gap", h.gap_verified, None), ("tensor_identity", h.tensor_identity, None),
+                  ("nonnegativity", h.nonnegative, None)])
     if r.cotangent is not None:
-        parts.extend((',\n  "cotangent_series": ',
-                      array([encode(str(c)) for c in r.cotangent.coefficients])))
+        parts.append(',\n  "cotangent_series": ')
+        array(list(map(str, r.cotangent.coefficients)))
     parts.append("\n}\n")
-    return "".join(parts)
+    return parts
 
 
-def render(report: Report, fmt: str) -> str:
-    """``report`` as table, json or csv text, each written straight from
-    the report's fields; only that form is built.  A listing report lists its
-    basis once, in that form's encoding: JSON escaping maps each character on
-    its own, so escaping each piece of a name once escapes every name that
-    holds it.  Raises VerificationError when the listing disagrees with the
-    series."""
-    if fmt == "json":
-        import json  # only JSON output pays for loading the package
-
-        encode = json.encoder.encode_basestring_ascii
-        names = _names(report, lambda s: encode(s)[1:-1])
-        return _json_text(report, names)
+def render(report: Report, fmt: str) -> list[str]:
+    """``report`` as table, json or csv text: the list of its pieces in write
+    order (one for table and CSV), written straight from the report's fields.
+    A listing report lists its basis once, in that form's encoding: JSON
+    escaping maps each character on its own, so escaping each piece of a name
+    once escapes every name that holds it.  Raises VerificationError, before
+    any piece exists, when the listing disagrees with the series."""
+    if fmt == "json":  # only JSON output pays for loading the package
+        from json.encoder import encode_basestring_ascii as encode
+        return _json_parts(report, _names(report, lambda s: encode(s)[1:-1]), encode)
     names = _names(report)
     lines = _csv(report, names) if fmt == "csv" else _table(report, names)
-    lines.append("")
-    return "\n".join(lines)
+    return ["\n".join(lines + [""])]
 
 
 # Most monomials a listing report may hold; the series gives the exact count
@@ -349,13 +351,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             f"{args.command} through degree {top} is over the limit of {MAX_SERIES_DEGREE}"
         )
     if args.command == "hz-compare" and n < 2 * args.prime - 2:
-        _PARSER.error(
-            f"hz-compare needs --max-degree >= {2 * args.prime - 2} at p={args.prime}"
-        )
+        _PARSER.error(f"hz-compare needs --max-degree >= {2 * args.prime - 2} at p={args.prime}")
 
     try:
         report = COMMANDS[args.command](args.prime, n)
-        text = render(report, args.format)
+        parts = render(report, args.format)
     except versal.VerificationError as exc:
         print(f"versalp: verification failed: {exc}", file=sys.stderr)
         return 2
@@ -365,11 +365,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
     try:
         if args.output is None:
-            _write_stdout(text)
+            _write_stdout(parts)
         else:
             # Binary, so no platform's newline translation touches the bytes.
             with open(args.output, "wb") as fh:
-                fh.write(text.encode("utf-8"))
+                fh.writelines(map(str.encode, parts))
     except OSError as exc:
         target = "stdout" if args.output is None else args.output
         print(f"versalp: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
@@ -377,8 +377,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     return 2 if report.failed else 0
 
 
-def _write_stdout(text: str) -> None:
-    """``text`` on stdout as the UTF-8 bytes --output writes, whatever the
+def _write_stdout(parts: list[str]) -> None:
+    """``parts`` on stdout as the UTF-8 bytes --output writes, whatever the
     locale's encoding, flushed, so that a failed write raises OSError here.
 
     After a failure, file descriptor 1 points at the null device: the
@@ -391,11 +391,11 @@ def _write_stdout(text: str) -> None:
     try:
         buffer = getattr(out, "buffer", None)
         if buffer is None:
-            out.write(text)
+            out.writelines(parts)
             out.flush()
         else:
             out.flush()
-            buffer.write(text.encode("utf-8"))
+            buffer.writelines(map(str.encode, parts))
             buffer.flush()
     except OSError:
         null = os.open(os.devnull, os.O_WRONLY)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -259,19 +260,20 @@ def test_default_max_degree_is_4p_minus_4(capsys):
     assert json.loads(out)["max_degree"] == 8
 
 
-def test_output_flag_writes_identical_bytes(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys, "thh", "--prime", "2", "--max-degree", "4", "--format", "json",
-        "--output", str(target),
-    )
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("thh", "--prime", "2", "--max-degree", "4"),
+    ("basis", "--prime", "3", "--max-degree", "40"),
+    ("verify", "--prime", "2"),
+], ids=["thh", "basis", "verify"])
+def test_output_flag_writes_identical_bytes(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "report"
+    code, out, _ = run(capsys, *argv, "--format", fmt, "--output", str(target))
     assert code == 0
     assert out == ""
-    code, stdout_text, _ = run(
-        capsys, "thh", "--prime", "2", "--max-degree", "4", "--format", "json"
-    )
+    code, stdout_text, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
-    assert target.read_text(encoding="utf-8") == stdout_text
+    assert target.read_bytes() == stdout_text.encode("utf-8")
 
 
 def test_output_file_bytes_pass_no_newline_translation(tmp_path, monkeypatch, capsys):
@@ -366,6 +368,19 @@ def test_unwritable_stdout_exits_1(argv, stdout, unbuffered):
         reason = os.strerror(errno.ENOSPC)
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"versalp: error: cannot write stdout: {reason}\n"
+
+
+@NEEDS_DEV_FULL
+def test_output_to_a_full_device_exits_1():
+    # A JSON listing goes to the file in many pieces; the first that fails ends the run.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["basis", "--prime", "3", "--max-degree", "40", "--format", "json",
+            "--output", "/dev/full"]
+    proc = subprocess.run([sys.executable, "-m", "versalp.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    reason = os.strerror(errno.ENOSPC)
+    assert proc.stderr.decode() == f"versalp: error: cannot write /dev/full: {reason}\n"
 
 
 def test_cli_import_loads_no_dataclasses_json_or_typing():
@@ -622,7 +637,7 @@ def test_json_text_equals_json_dumps_of_the_envelope(case):
     encode = json.encoder.encode_basestring_ascii
     escaped = None if buckets is None else [[encode(s)[1:-1] for s in b] for b in buckets]
     expected = json.dumps(envelope(report, buckets), indent=2) + "\n"
-    assert cli._json_text(report, escaped) == expected
+    assert "".join(cli._json_parts(report, escaped, encode)) == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -630,7 +645,7 @@ def test_json_text_equals_json_dumps_of_the_envelope(case):
     ["steenrod", "--prime", "3", "--max-degree", "8"],
     ["collision"],
 ])
-def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, argv):
+def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, tmp_path, argv):
     name = "steenrod_series" if argv[0] == "steenrod" else "homology_series"
     series = getattr(versal, name)
 
@@ -639,11 +654,32 @@ def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, arg
         return versal.TruncatedSeries(n, c[:-1] + (c[-1] + 1,))
 
     monkeypatch.setattr(versal, name, off_by_one)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
     top = 4 if argv[0] == "collision" else int(argv[-1])
-    assert f"monomials in degree {top}, the series says" in err
+    target = tmp_path / "report"
+    # No byte is written, in any format or to any target, before the check.
+    for extra in ([], ["--format", "json"], ["--output", str(target)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert f"monomials in degree {top}, the series says" in err
+        assert not target.exists()
+
+
+def test_json_listing_peaks_under_four_times_its_document():
+    # The names (one str object each) and the pieces take about three times the
+    # document; a bucket copied into the strings that enclose it takes five.
+    # tracemalloc counts allocations, so the machine's speed does not move it.
+    report = cli.COMMANDS["basis"](2, 30)
+    cli.render(report, "json")  # loads json outside the trace
+    tracemalloc.start()
+    try:
+        parts = cli.render(report, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    document = sum(map(len, parts))
+    assert document > 10**6
+    assert peak <= 4 * document, (peak, document)
 
 
 def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, capsys):
