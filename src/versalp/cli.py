@@ -81,7 +81,8 @@ def _names(r: Report, encode=str) -> list[list[str]] | None:
 
 
 def _csv(r: Report, names: list[list[str]] | None) -> list[str]:
-    """Lines of the CSV form, header first.
+    """Pieces of the CSV form, header first, each line ending in its own
+    newline; a listing writes each degree's rows as one piece.
 
     No field ever holds a comma, a double quote, a carriage return or a
     newline: fields are integers, fixed names, ``true``/``false``, monomial
@@ -91,53 +92,51 @@ def _csv(r: Report, names: list[list[str]] | None) -> list[str]:
     commas gives its bytes.
     """
     if r.verdicts is not None:
-        return ["check,passed"] + [
-            f"{v.name},{str(v.passed).lower()}" for v in r.verdicts
-        ]
+        return ["check,passed\n"] + [f"{v.name},{str(v.passed).lower()}\n" for v in r.verdicts]
     if r.witness is not None:
-        lines = [f"source_{i},{s}" for i, s in enumerate(_sources(r.witness), 1)]
-        return ["name,value", *lines, f"image,{r.witness.image}"]
+        lines = [f"source_{i},{s}\n" for i, s in enumerate(_sources(r.witness), 1)]
+        return ["name,value\n", *lines, f"image,{r.witness.image}\n"]
     if r.scalar_name is not None:
-        return ["name,value", f"{r.scalar_name},{r.series[0]}"]
+        return ["name,value\n", f"{r.scalar_name},{r.series[0]}\n"]
     if names is not None:
-        lines = ["degree,monomial"]
+        parts = ["degree,monomial\n"]
         for d, bucket in enumerate(names):
-            if bucket:
-                # One string per degree: every row of the bucket at once.
-                prefix = f"{d},"
-                lines.append(prefix + ("\n" + prefix).join(bucket))
-        return lines
-    return ["degree,coefficient"] + [f"{d},{c}" for d, c in enumerate(r.series)]
+            if bucket:  # every row of the bucket in one piece, after the first's prefix
+                parts += (f"{d},", f"\n{d},".join(bucket), "\n")
+        return parts
+    return ["degree,coefficient\n"] + [f"{d},{c}\n" for d, c in enumerate(r.series)]
 
 
 def _table(r: Report, names: list[list[str]] | None) -> list[str]:
+    """Pieces of the table form, split into lines and buckets as ``_csv``'s."""
     if r.verdicts is not None:
         return [
             f"{'PASS' if v.passed else 'FAIL'}  {v.name}"
-            + (f"  ({v.detail})" if v.detail else "")
+            + (f"  ({v.detail})\n" if v.detail else "\n")
             for v in r.verdicts
         ]
     if r.witness is not None:
-        lines = [f"source  {s}" for s in _sources(r.witness)]
-        return lines + [f"image   {r.witness.image}"]
+        lines = [f"source  {s}\n" for s in _sources(r.witness)]
+        return lines + [f"image   {r.witness.image}\n"]
     if r.scalar_name is not None:
-        return [str(r.series[0])]
+        return [f"{r.series[0]}\n"]
     if names is not None:
-        return ["degree  monomials"] + [
-            f"{d:>6}  {', '.join(bucket) or '-'}" for d, bucket in enumerate(names)
-        ]
-    lines = ["degree  coefficient"]
-    lines += [f"{d:>6}  {c}" for d, c in enumerate(r.series)]
+        parts = ["degree  monomials\n"]
+        for d, bucket in enumerate(names):
+            parts += (f"{d:>6}  ", ", ".join(bucket) or "-", "\n")
+        return parts
+    lines = ["degree  coefficient\n"]
+    lines += [f"{d:>6}  {c}\n" for d, c in enumerate(r.series)]
     if r.homotopy is not None:
         first = r.homotopy.first_positive_nonzero_degree
         lines += [
-            "",
-            f"# gap_verified: {str(r.homotopy.gap_verified).lower()}",
-            f"# first_positive_nonzero_degree: {first if first is not None else '-'}",
+            "\n",
+            f"# gap_verified: {str(r.homotopy.gap_verified).lower()}\n",
+            f"# first_positive_nonzero_degree: {first if first is not None else '-'}\n",
         ]
     if r.cotangent is not None:
         cotangent = ",".join(map(str, r.cotangent.coefficients))
-        lines += ["", f"# cotangent_series: {cotangent}"]
+        lines += ["\n", f"# cotangent_series: {cotangent}\n"]
     return lines
 
 
@@ -203,17 +202,15 @@ def _json_parts(r: Report, names: list[list[str]] | None, encode) -> list[str]:
 
 def render(report: Report, fmt: str) -> list[str]:
     """``report`` as table, json or csv text: the list of its pieces in write
-    order (one for table and CSV), written straight from the report's fields.
-    A listing report lists its basis once, in that form's encoding: JSON
-    escaping maps each character on its own, so escaping each piece of a name
-    once escapes every name that holds it.  Raises VerificationError, before
-    any piece exists, when the listing disagrees with the series."""
+    order, written straight from the report's fields, each degree of a listing
+    one piece in that form's encoding.  JSON escaping maps each character on
+    its own, so escaping each piece of a name once escapes every name that
+    holds it.  Raises VerificationError, before any piece exists, when the
+    listing disagrees with the series."""
     if fmt == "json":  # only JSON output pays for loading the package
         from json.encoder import encode_basestring_ascii as encode
         return _json_parts(report, _names(report, lambda s: encode(s)[1:-1]), encode)
-    names = _names(report)
-    lines = _csv(report, names) if fmt == "csv" else _table(report, names)
-    return ["\n".join(lines + [""])]
+    return (_csv if fmt == "csv" else _table)(report, _names(report))
 
 
 # Most monomials a listing report may hold; the series gives the exact count
@@ -380,6 +377,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 def _write_stdout(parts: list[str]) -> None:
     """``parts`` on stdout as the UTF-8 bytes --output writes, whatever the
     locale's encoding, flushed, so that a failed write raises OSError here.
+    A text stream without a binary buffer (an in-process ``StringIO``), whose
+    caller keeps the whole text anyway, takes it joined in one write.
 
     After a failure, file descriptor 1 points at the null device: the
     interpreter flushes stdout again at exit, and the bytes the stream still
@@ -391,7 +390,7 @@ def _write_stdout(parts: list[str]) -> None:
     try:
         buffer = getattr(out, "buffer", None)
         if buffer is None:
-            out.writelines(parts)
+            out.write("".join(parts))
             out.flush()
         else:
             out.flush()

@@ -17,17 +17,6 @@ from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, product_over_co
 from .primes import require_prime
 
 
-def _word_degree(p: int, entries: tuple) -> int:
-    """Word degree of an entry tuple; here of Q^3, bQ^2 at p = 3 and ().
-
-    >>> _word_degree(2, (3,)), _word_degree(3, ((1, 2),)), _word_degree(5, ())
-    (3, 7, 0)
-    """
-    if p == 2:
-        return sum(entries)
-    return sum(2 * s * (p - 1) - eps for eps, s in entries)
-
-
 def _render_word(p: int, entries: tuple, symbol: str) -> str:
     """An entry tuple applied to ``symbol``; the empty word is ``symbol``.
 
@@ -59,9 +48,10 @@ def _check_arguments(p: int, gen_degree: int, max_degree: int) -> None:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
 
 
-def _raw_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
-    """Entry tuples of the empty word ``()`` and of every admissible word with
-    excess > gen_degree and total degree <= max_degree, in search order.
+def _raw_words(p: int, gen_degree: int, max_degree: int) -> list[tuple[int, tuple]]:
+    """(word degree, entry tuple) of the empty word ``()`` and of every
+    admissible word with excess > gen_degree and total degree <= max_degree,
+    in search order.
 
     Tails of qualifying words qualify, so the search extends qualifying
     words on the left only, and its cost scales with the output.  For the
@@ -76,10 +66,10 @@ def _raw_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
     n, budget = gen_degree, max_degree - gen_degree
     q, bocksteins = _operations(p)
     step = q * (p - 1)
-    found: list[tuple] = [()]
+    found: list[tuple[int, tuple]] = [(0, ())]
 
     def extend(word: tuple, eps1: int, s1: int, wdeg: int, tail: int) -> None:
-        found.append(word)
+        found.append((wdeg, word))
         t = tail + step * s1 + eps1
         for eps0 in bocksteins:
             for s0 in range((t + n) // q + 1, p * s1 - eps1 + 1):
@@ -100,7 +90,7 @@ def generator_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
     """Entry tuples of the empty word and of every admissible word with excess
     > gen_degree and total degree <= max_degree, sorted by (degree, entries)."""
     # No report calls this; bench/tracing.py wraps it by name and counts its words.
-    return sorted(_raw_words(p, gen_degree, max_degree), key=lambda w: (_word_degree(p, w), w))
+    return [w for _, w in sorted(_raw_words(p, gen_degree, max_degree))]
 
 
 def _minimal_word_degrees(p: int, n: int, k: int) -> list[int]:
@@ -193,7 +183,7 @@ def enumerate_generators(
     ``GeneratorSet`` puts them in (degree, label) order.
     """
     gens = []
-    for w in _raw_words(p, gen_degree, max_degree):
-        d = gen_degree + _word_degree(p, w)
+    for wdeg, w in _raw_words(p, gen_degree, max_degree):
+        d = gen_degree + wdeg
         gens.append(Generator(_render_word(p, w, symbol), d, _kind(p, d)))
     return GeneratorSet(tuple(gens))

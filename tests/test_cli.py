@@ -133,6 +133,39 @@ def test_steenrod_csv_snapshot(capsys):
     )
 
 
+def test_basis_table_snapshot_with_an_empty_degree(capsys):
+    code, out, _ = run(
+        capsys, "basis", "--prime", "3", "--max-degree", "6", "--format", "table"
+    )
+    assert code == 0
+    assert out == (
+        "degree  monomials\n"
+        "     0  1\n"
+        "     1  a\n"
+        "     2  -\n"
+        "     3  -\n"
+        "     4  bQ^1 a\n"
+        "     5  a·bQ^1 a, Q^1 a\n"
+        "     6  a·Q^1 a\n"
+    )
+
+
+def test_basis_csv_snapshot_skips_empty_degrees(capsys):
+    code, out, _ = run(
+        capsys, "basis", "--prime", "3", "--max-degree", "6", "--format", "csv"
+    )
+    assert code == 0
+    assert out == (
+        "degree,monomial\n"
+        "0,1\n"
+        "1,a\n"
+        "4,bQ^1 a\n"
+        "5,a·bQ^1 a\n"
+        "5,Q^1 a\n"
+        "6,a·Q^1 a\n"
+    )
+
+
 def test_homology_json_round_trip(capsys):
     code, out, _ = run(
         capsys, "homology", "--prime", "3", "--max-degree", "8", "--format", "json"
@@ -665,21 +698,34 @@ def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, tmp
         assert not target.exists()
 
 
+def _traced_render(report, fmt):
+    """``cli.render(report, fmt)`` and the peak of the memory it traced.
+    tracemalloc counts allocations, so the machine's speed does not move it."""
+    tracemalloc.start()
+    try:
+        return cli.render(report, fmt), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_json_listing_peaks_under_four_times_its_document():
     # The names (one str object each) and the pieces take about three times the
     # document; a bucket copied into the strings that enclose it takes five.
-    # tracemalloc counts allocations, so the machine's speed does not move it.
     report = cli.COMMANDS["basis"](2, 30)
     cli.render(report, "json")  # loads json outside the trace
-    tracemalloc.start()
-    try:
-        parts = cli.render(report, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    parts, peak = _traced_render(report, "json")
     document = sum(map(len, parts))
     assert document > 10**6
     assert peak <= 4 * document, (peak, document)
+
+
+def test_table_and_csv_listings_peak_no_higher_than_json():
+    # Every format holds the same names and writes each bucket as one piece;
+    # a table or CSV document joined whole would copy every bucket once more.
+    report = cli.COMMANDS["basis"](2, 30)
+    cli.render(report, "json")  # loads json outside the trace
+    peak = {fmt: _traced_render(report, fmt)[1] for fmt in ("json", "csv", "table")}
+    assert peak["csv"] <= peak["json"] and peak["table"] <= peak["json"], peak
 
 
 def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, capsys):
