@@ -13,7 +13,7 @@ from itertools import count, product
 from operator import add
 
 from .free_algebra import Generator, GeneratorSet
-from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, product_over_counts
+from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, _fold_counts
 from .primes import require_prime
 
 
@@ -165,13 +165,18 @@ def generator_series(
 ) -> TruncatedSeries:
     """Dimension series of the free algebra on the generators over one class
     of each degree in ``gen_degrees`` (the union of their
-    ``enumerate_generators`` sets), folded once from the summed generator
-    counts per degree."""
+    ``enumerate_generators`` sets): the generator counts per degree, summed
+    over the classes, go into the fold (``power_series._fold_counts``) as
+    they are, the odd degrees at odd p as exterior ones (``_kind``)."""
     profiles = [generator_degree_counts(p, n, max_degree) for n in gen_degrees]
-    counts = [sum(column) for column in zip(*profiles)]
-    return product_over_counts(
-        ((d, _kind(p, d), b) for d, b in enumerate(counts) if b), max_degree
-    )
+    if len(profiles) == 1:
+        polynomial = profiles[0]
+    else:
+        polynomial = list(map(sum, zip(*profiles))) or [0] * (max_degree + 1)
+    exterior = [0] * (max_degree + 1)
+    if p != 2:
+        exterior[1::2], polynomial[1::2] = polynomial[1::2], exterior[1::2]
+    return _fold_counts(polynomial, exterior)
 
 
 def enumerate_generators(

@@ -255,6 +255,30 @@ def product_over_counts(
     """Dimension series of the free graded-commutative algebra with
     ``multiplicity`` generators of each ``(degree, kind, multiplicity)``.
 
+    Each triple is validated and its multiplicity added into its kind's
+    count array, indexed by degree 0..N (degrees above N are skipped); the
+    two arrays go through the one fold, ``_fold_counts``.
+
+    >>> product_over_counts([(1, "polynomial", 2), (2, "exterior", 1)], 4).coefficients
+    (1, 2, 4, 6, 8)
+    """
+    n = truncation_degree
+    polynomial, exterior = [0] * (n + 1), [0] * (n + 1)
+    for d, kind, b in counts:
+        _check_factor(d, kind)
+        if b < 0:
+            raise ValueError(f"generator multiplicity must be >= 0, got {b}")
+        if d <= n:
+            (polynomial if kind == POLYNOMIAL else exterior)[d] += b
+    return _fold_counts(polynomial, exterior)
+
+
+def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
+    """Dimension series, through degree N, of the free graded-commutative
+    algebra with polynomial[d] polynomial and exterior[d] exterior
+    generators of each degree d; both lists have length N + 1 and their
+    entries at degree 0 are ignored.
+
     b polynomial generators of degree d contribute 1/(1 - t^d)^b, b exterior
     ones (1 + t^d)^b.  The product a is an Euler transform: its logarithmic
     derivative gives n a_n = sum_{k=1..n} c_k a_{n-k}, where c_k sums d b
@@ -263,22 +287,20 @@ def product_over_counts(
     conquer over Kronecker products (``_solve``), in O(M(N) log N) for M the
     cost of one N-term product.  Every a_n must come out of an exact
     division by n; a remainder raises VerificationError.
-
-    >>> product_over_counts([(1, "polynomial", 2), (2, "exterior", 1)], 4).coefficients
-    (1, 2, 4, 6, 8)
     """
-    n = truncation_degree
+    n = len(polynomial) - 1
     c = [0] * (n + 1)
-    for d, kind, b in counts:
-        _check_factor(d, kind)
-        if b < 0:
-            raise ValueError(f"generator multiplicity must be >= 0, got {b}")
-        if kind == POLYNOMIAL:
+    for d in range(1, n + 1):
+        if polynomial[d]:
+            db = d * polynomial[d]
             for k in range(d, n + 1, d):
-                c[k] += d * b
-        else:
-            for k in range(d, n + 1, d):
-                c[k] += d * b if (k // d) % 2 else -d * b
+                c[k] += db
+        if exterior[d]:
+            db = d * exterior[d]
+            for k in range(d, n + 1, 2 * d):
+                c[k] += db
+            for k in range(2 * d, n + 1, 2 * d):
+                c[k] -= db
     a = [1] + [0] * n
     _solve(a, [0] * (n + 1), c, 0, n + 1)
     return TruncatedSeries(n, tuple(a))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from versalp import cli, power_series, versal
-from versalp.dyer_lashof import generator_degree_counts, generator_words
-from versalp.power_series import VerificationError, product_over_counts
+from versalp.dyer_lashof import generator_degree_counts, generator_series, generator_words
+from versalp.power_series import TruncatedSeries, VerificationError, product_over_counts
 from versalp.versal import homology_series, homotopy_report, homotopy_series, steenrod_series
 
 from oracles import dp_degree_counts, factor_fold, naive_series, word_degree
@@ -61,16 +61,25 @@ def test_fold_equals_naive_product_of_expanded_factors(profile):
     assert list(product_over_counts(triples, n).coefficients) == naive_series(expanded, n)
 
 
-def _profile(p, n):
-    """The homology series' (degree, kind, multiplicity) triples."""
+def _profile(p, n, gen_degrees=(1,)):
+    """(degree, kind, multiplicity) triples of the free algebra over one
+    class of each degree in ``gen_degrees``, the generator counts summed."""
     kind = lambda d: "exterior" if p != 2 and d % 2 else "polynomial"
-    return [(d, kind(d), b) for d, b in enumerate(generator_degree_counts(p, 1, n)) if b]
+    columns = zip(*(generator_degree_counts(p, g, n) for g in gen_degrees))
+    return [(d, kind(d), sum(c)) for d, c in enumerate(columns) if sum(c)]
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_fold_equals_the_factor_fold_at_degree_2000(p):
     triples = _profile(p, 2000)
-    assert list(product_over_counts(triples, 2000).coefficients) == factor_fold(triples, 2000)
+    expected = factor_fold(triples, 2000)
+    assert list(product_over_counts(triples, 2000).coefficients) == expected
+    # generator_series splits its count array by kind itself: the kind rule
+    # above is written apart from the library's.
+    assert list(generator_series(p, (1,), 2000).coefficients) == expected
+    thh = generator_series(p, (1, 2), 400)
+    assert list(thh.coefficients) == factor_fold(_profile(p, 400, (1, 2)), 400)
+    assert generator_series(p, (), 5) == TruncatedSeries.one(5)
 
 
 def test_a_wrong_product_in_the_fold_leaves_a_remainder(monkeypatch, capsys):
