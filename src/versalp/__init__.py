@@ -17,7 +17,7 @@ from .free_algebra import (
     enumerate_monomials,
     series_of,
 )
-from .power_series import TruncatedSeries, product_over_counts, product_over_generators
+from .power_series import TruncatedSeries, product_over_generators
 from .steenrod_dual import milnor_generator_degrees
 from .versal import (
     CollisionWitness,
@@ -66,7 +66,6 @@ __all__ = [
     "homotopy_series",
     "hz_quotient_comparison",
     "milnor_generator_degrees",
-    "product_over_counts",
     "product_over_generators",
     "selfmap_first_nontrivial",
     "series_of",

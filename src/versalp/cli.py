@@ -219,7 +219,7 @@ MAX_LISTED_MONOMIALS = 1_000_000
 
 
 # Highest degree a series report may be asked for. At p = 2 the slowest one,
-# verify, takes 0.38 s and 17 MB at this degree (best of 3 processes, 2-core
+# verify, takes 0.32 s and 17 MB at this degree (best of 3 processes, 2-core
 # x86-64, Python 3.11.7), and 1.6 s and 21 MB in process at twice it, nearly
 # all in the homology fold, whose big-integer products grow about five times
 # with each doubling of the degree.

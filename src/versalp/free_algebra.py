@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .power_series import EXTERIOR, KINDS, POLYNOMIAL, TruncatedSeries, product_over_generators
+from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries
+from .power_series import _check_factor, product_over_generators
 from .value import Value
 
 
@@ -25,10 +26,7 @@ class Generator(Value):
     def __init__(self, label: str, degree: int, kind: str) -> None:
         if not label:
             raise ValueError("generator label must be nonempty")
-        if degree < 1:
-            raise ValueError(f"generator degree must be >= 1, got {degree}")
-        if kind not in KINDS:
-            raise ValueError(f"generator kind must be one of {KINDS}, got {kind!r}")
+        _check_factor(degree, kind)
         super().__init__(label, degree, kind)
 
 
@@ -214,7 +212,5 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     powers of the lowest generator come first.  Only the names are built
     here; the ``Monomial``s wait for a read of ``buckets``.
     """
-    if not isinstance(gens, GeneratorSet):
-        gens = GeneratorSet(tuple(gens))
     names = list_names(gens, truncation_degree)
     return MonomialBasis(gens, truncation_degree, tuple(map(tuple, names)))

@@ -222,8 +222,7 @@ def product_over_generators(
     gens: Iterable["Generator"], truncation_degree: int
 ) -> TruncatedSeries:
     """Dimension series of the free graded-commutative algebra on ``gens``,
-    ``multiply_over_generators`` applied to 1; many generators with repeated
-    degrees are cheaper through ``product_over_counts``."""
+    ``multiply_over_generators`` applied to 1."""
     return multiply_over_generators(TruncatedSeries.one(truncation_degree), gens)
 
 
@@ -249,30 +248,6 @@ def quotient_over_generators(
     return TruncatedSeries(series.truncation_degree, tuple(c))
 
 
-def product_over_counts(
-    counts: Iterable[tuple[int, str, int]], truncation_degree: int
-) -> TruncatedSeries:
-    """Dimension series of the free graded-commutative algebra with
-    ``multiplicity`` generators of each ``(degree, kind, multiplicity)``.
-
-    Each triple is validated and its multiplicity added into its kind's
-    count array, indexed by degree 0..N (degrees above N are skipped); the
-    two arrays go through the one fold, ``_fold_counts``.
-
-    >>> product_over_counts([(1, "polynomial", 2), (2, "exterior", 1)], 4).coefficients
-    (1, 2, 4, 6, 8)
-    """
-    n = truncation_degree
-    polynomial, exterior = [0] * (n + 1), [0] * (n + 1)
-    for d, kind, b in counts:
-        _check_factor(d, kind)
-        if b < 0:
-            raise ValueError(f"generator multiplicity must be >= 0, got {b}")
-        if d <= n:
-            (polynomial if kind == POLYNOMIAL else exterior)[d] += b
-    return _fold_counts(polynomial, exterior)
-
-
 def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     """Dimension series, through degree N, of the free graded-commutative
     algebra with polynomial[d] polynomial and exterior[d] exterior
@@ -287,6 +262,9 @@ def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     conquer over Kronecker products (``_solve``), in O(M(N) log N) for M the
     cost of one N-term product.  Every a_n must come out of an exact
     division by n; a remainder raises VerificationError.
+
+    >>> _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0]).coefficients
+    (1, 2, 4, 6, 8)
     """
     n = len(polynomial) - 1
     c = [0] * (n + 1)

@@ -255,9 +255,6 @@ class Verdict(Value):
     passed: bool
     detail: str
 
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        super().__init__(name, passed, detail)
-
 
 def _verdict_from(name: str, thunk) -> Verdict:
     try:

@@ -8,7 +8,6 @@ from versalp.power_series import (
     KINDS,
     TruncatedSeries,
     multiply_over_generators,
-    product_over_counts,
     product_over_generators,
     quotient_over_generators,
 )
@@ -257,8 +256,6 @@ def test_quotient_rejects_what_the_product_rejects():
         for kernel in (multiply_over_generators, quotient_over_generators):
             with pytest.raises(ValueError, match=message):
                 kernel(TruncatedSeries.one(4), [bad])
-        with pytest.raises(ValueError, match=message):
-            product_over_counts([(bad.degree, bad.kind, 1)], 4)
 
 
 @st.composite

@@ -24,7 +24,7 @@ VALUES = {
                  lambda: Monomial(((Generator("x", 2, "polynomial"), 2),))),
     "MonomialBasis": (lambda: enumerate_monomials(_generators(), 6),
                       lambda: enumerate_monomials(_generators(), 5)),
-    "Verdict": (lambda: Verdict("gap", True), lambda: Verdict("gap", True, "detail")),
+    "Verdict": (lambda: Verdict("gap", True, ""), lambda: Verdict("gap", True, "detail")),
     "HomotopyReport": (lambda: homotopy_report(2, 8), lambda: homotopy_report(2, 9)),
     "CollisionWitness": (structure_map_collision, lambda: CollisionWitness(
         structure_map_collision().source_monomials, "e_1^5")),
