@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, repeat
 from operator import add, mul
+from sys import byteorder
 
 from .value import Value
 
@@ -126,8 +127,8 @@ def _kronecker(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> lis
     substitution.
 
     Each operand becomes the one integer sum(c_i X^i) at X = 2^(8w), the two
-    integers are multiplied once, and slots of w bytes are read back.  Every
-    product coefficient is a sum of at most min(len(a), len(b)) terms, so
+    integers are multiplied once, and ``_unpack`` reads back slots of w bytes.
+    Every product coefficient is a sum of at most min(len(a), len(b)) terms, so
     |c| < 2^(bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b)))).  When
     both operands are nonnegative, so is every c, and slots of that many bits
     hold them as they are; otherwise one more bit lets each slot hold
@@ -137,23 +138,32 @@ def _kronecker(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> lis
     size = stop - start
     if not (any(map((0).__gt__, b)) or any(map((0).__gt__, a))):
         w = (max(a).bit_length() + max(b).bit_length() + terms + 7) // 8
-        raw = _slots(_pack(a, w) * _pack(b, w), w, start, stop)
-        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, w * size, w)]
+        return _unpack((_pack(a, w) * _pack(b, w)) >> (8 * w * start), w, size)
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + terms + 1
     w = (bits + 7) // 8
     # With 2^(8w-1) added to each of the low ``stop`` slots, each holds
-    # c + 2^(8w-1), in [0, 2^(8w)); the mask in ``_slots`` keeps those slots
+    # c + 2^(8w-1), in [0, 2^(8w)); the mask in ``_unpack`` keeps those slots
     # whatever the sign of the discarded high part.
     product = _pack_signed(a, w) * _pack_signed(b, w) + _offsets(stop, w)
-    raw = _slots(product, w, start, stop)
-    half = 1 << (8 * w - 1)
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * size, w)]
+    return list(map((-1 << (8 * w - 1)).__add__, _unpack(product >> (8 * w * start), w, size)))
 
 
-def _slots(x: int, w: int, start: int, stop: int) -> bytes:
-    """Slots ``start`` to ``stop`` - 1 of w bytes each of ``x``, little-endian."""
-    size = w * (stop - start)
-    return ((x >> (8 * w * start)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+def _unpack(x: int, w: int, count: int) -> list[int]:
+    """The low ``count`` w-byte slots of ``x``; slots up to 8 bytes in one word cast."""
+    if w <= 8 and byteorder == "little":
+        return memoryview(_padded(x, w, count, 8)).cast("Q").tolist()
+    raw = _padded(x, w, count, w)
+    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, w * count, w)]
+
+
+def _padded(x: int, w: int, count: int, wide: int) -> bytearray:
+    """The low ``count`` w-byte slots of ``x``, each zero-padded to ``wide`` bytes."""
+    size = w * count
+    raw = (x & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    out = bytearray(wide * count)
+    for k in range(w):
+        out[k::wide] = raw[k::w]
+    return out
 
 
 def _offsets(count: int, w: int) -> int:
@@ -255,17 +265,29 @@ def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     entries at degree 0 are ignored.
 
     b polynomial generators of degree d contribute 1/(1 - t^d)^b, b exterior
-    ones (1 + t^d)^b.  The product a is an Euler transform: its logarithmic
-    derivative gives n a_n = sum_{k=1..n} c_k a_{n-k}, where c_k sums d b
-    over the degrees d dividing k, with the sign (-1)^(k/d + 1) for exterior
-    ones.  That recurrence is solved as an online convolution, divide and
-    conquer over Kronecker products (``_solve``), in O(M(N) log N) for M the
-    cost of one N-term product.  Every a_n must come out of an exact
-    division by n; a remainder raises VerificationError.
+    ones (1 + t^d)^b.  If the factors take at most N/2 shift-adds, they are
+    applied one by one (``_fold_factors``), which divides nothing and is
+    exact by its guard test; otherwise the product is an Euler transform
+    (``_fold_euler``), and the remainder check is that path's alone.
 
     >>> _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0]).coefficients
     (1, 2, 4, 6, 8)
     """
+    n = len(polynomial) - 1
+    # ``_fold_factors``' shift-adds, a slice sum per doubling d 2^j <= N, until past N/2.
+    top = h = n // 2
+    steps = sum(exterior[1:h + 1]) + sum(polynomial[1:h + 1])
+    while top and steps <= h:
+        steps += sum(polynomial[1:top + 1])
+        top //= 2
+    return (_fold_factors if steps <= h else _fold_euler)(polynomial, exterior)
+
+
+def _fold_euler(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
+    """``_fold_counts`` as an Euler transform, n a_n = sum_{k<=n} c_k a_{n-k},
+    c_k the sum of d b over the degrees d dividing k, signed (-1)^(k/d+1) for
+    exterior ones: an online convolution over Kronecker products (``_solve``),
+    O(M(N) log N) for M(N) one N-term product.  A remainder raises VerificationError."""
     n = len(polynomial) - 1
     c = [0] * (n + 1)
     for d in range(1, n + 1):
@@ -282,6 +304,34 @@ def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     a = [1] + [0] * n
     _solve(a, [0] * (n + 1), c, 0, n + 1)
     return TruncatedSeries(n, tuple(a))
+
+
+def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
+    """``_fold_counts`` in one integer x, a slot of w bytes per degree.  Each
+    factor 1 + t^s is a shift-add of x: one per exterior generator of degree
+    d <= N/2, one per d 2^j <= N for a polynomial one, 1/(1 - t^d) = prod_j
+    (1 + t^(d 2^j)).  No factor lowers a slot, so a step adding slots below
+    2^(8w - 1) is exact, and one that sets a top bit widens every slot by a
+    byte.  Above N/2 the factors multiply to 1 + sum b_d t^d, one product in
+    slots of bits(max slot) + bits(1 + sum b_d), which bound every result."""
+    n = len(polynomial) - 1
+    h, w, x = n // 2, 2, 1
+    full, guard = (1 << 8 * w * (n + 1)) - 1, _offsets(n + 1, w)
+    for d in range(1, h + 1):
+        if exterior[d] or polynomial[d]:
+            chain = [d << j for j in range((n // d).bit_length())]
+            for s in [d] * exterior[d] + chain * polynomial[d]:
+                x = (x + (x << 8 * w * s)) & full
+                if x & guard:
+                    x = int.from_bytes(_padded(x, w, n + 1, w + 1), "little")
+                    w += 1
+                    full, guard = (1 << 8 * w * (n + 1)) - 1, _offsets(n + 1, w)
+    coeffs = _unpack(x, w, n + 1)
+    high = list(map(add, polynomial[h + 1:], exterior[h + 1:]))
+    wide = max(w, (max(coeffs).bit_length() + (1 + sum(high)).bit_length() + 7) // 8)
+    low = int.from_bytes(_padded(x, w, n - h, wide), "little")
+    coeffs[h + 1:] = map(add, coeffs[h + 1:], _unpack(low * _pack(high, wide), wide, n - h))
+    return TruncatedSeries(n, coeffs)
 
 
 # Spans this short are solved term by term; above it the Kronecker product

@@ -1,14 +1,20 @@
 """Series from generator counts: the closed-form counts against word
-enumeration and the counting dynamic program, the Euler-transform fold
-against naive factor products and the factor-by-factor fold, and the
-homotopy quotient far above the enumeration oracles' degree caps."""
+enumeration and the counting dynamic program; both paths of the fold, the
+Euler transform and the packed factor-by-factor product, against naive factor
+products, the oracle's factor fold and each other, the rule that picks
+between them, and the packed product's slot widening; and the homotopy
+quotient far above the enumeration oracles' degree caps."""
+
+from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from versalp import cli, power_series, versal
 from versalp.dyer_lashof import generator_degree_counts, generator_series, generator_words
-from versalp.power_series import TruncatedSeries, VerificationError, _fold_counts
+from versalp.power_series import (
+    TruncatedSeries, VerificationError, _fold_counts, _fold_euler, _fold_factors,
+)
 from versalp.versal import homology_series, homotopy_report, homotopy_series, steenrod_series
 
 from oracles import dp_degree_counts, factor_fold, naive_series, word_degree
@@ -52,7 +58,7 @@ def count_profile(draw):
     return n, triples
 
 
-def fold(triples, n):
+def fold(triples, n, kernel=_fold_counts):
     """The fold over (degree, kind, multiplicity) triples: multiplicities
     summed into one array per kind indexed by degree 0..n, degrees above n
     left out."""
@@ -60,7 +66,7 @@ def fold(triples, n):
     for d, kind, b in triples:
         if d <= n:
             arrays[kind][d] += b
-    return _fold_counts(arrays["polynomial"], arrays["exterior"])
+    return kernel(arrays["polynomial"], arrays["exterior"])
 
 
 @given(count_profile())
@@ -69,7 +75,9 @@ def fold(triples, n):
 def test_fold_equals_naive_product_of_expanded_factors(profile):
     n, triples = profile
     expanded = [(d, kind) for d, kind, b in triples for _ in range(b)]
-    assert list(fold(triples, n).coefficients) == naive_series(expanded, n)
+    expected = naive_series(expanded, n)
+    for kernel in (_fold_counts, _fold_euler, _fold_factors):
+        assert list(fold(triples, n, kernel).coefficients) == expected, kernel.__name__
 
 
 def _profile(p, n, gen_degrees=(1,)):
@@ -91,6 +99,59 @@ def test_fold_equals_the_factor_fold_at_degree_2000(p):
     thh = generator_series(p, (1, 2), 400)
     assert list(thh.coefficients) == factor_fold(_profile(p, 400, (1, 2)), 400)
     assert generator_series(p, (), 5) == TruncatedSeries.one(5)
+
+
+@pytest.mark.parametrize("p,n", [(2, 60), (3, 150), (5, 2000), (7, 3000), (11, 4000), (13, 4000)])
+def test_factor_path_equals_the_euler_path(p, n):
+    triples = _profile(p, n)
+    assert fold(triples, n, _fold_factors) == fold(triples, n, _fold_euler)
+
+
+@pytest.mark.parametrize("p,n,path", [
+    (5, 500, "factors"), (7, 850, "factors"), (13, 4000, "factors"),
+    (2, 200, "euler"), (2, 27, "euler"), (3, 58, "euler"), (3, 500, "euler"), (7, 4000, "euler"),
+])
+def test_the_fold_takes_the_factor_path_at_most_n_over_2_shift_adds(monkeypatch, p, n, path):
+    taken = []
+    for name, kernel in (("euler", _fold_euler), ("factors", _fold_factors)):
+        def traced(*arrays, name=name, kernel=kernel):
+            taken.append(name)
+            return kernel(*arrays)
+        monkeypatch.setattr(power_series, kernel.__name__, traced)
+    series = generator_series(p, (1,), n)
+    assert taken == [path]
+    assert list(series.coefficients) == factor_fold(_profile(p, n), n)
+
+
+def widenings(monkeypatch, polynomial, exterior):
+    """``_fold_factors`` on the two arrays, and the slot widths it widened to."""
+    padded, widths = power_series._padded, []
+
+    def spy(x, w, count, wide):
+        if count == len(polynomial) and wide == w + 1:
+            widths.append(wide)
+        return padded(x, w, count, wide)
+
+    monkeypatch.setattr(power_series, "_padded", spy)
+    return _fold_factors(polynomial, exterior).coefficients, widths
+
+
+@pytest.mark.parametrize("b", [17, 18])
+def test_a_slot_widens_when_a_step_sets_its_top_bit(monkeypatch, b):
+    # (1 + t)^b at two-byte slots: C(17, 8) < 2^15 <= C(18, 9).
+    coefficients, widths = widenings(monkeypatch, [0] * 41, [0, b] + [0] * 39)
+    assert coefficients == tuple(comb(b, k) for k in range(41))
+    assert widths == ([] if b == 17 else [3])
+
+
+def test_slots_widen_a_byte_at_a_time_to_the_final_width(monkeypatch):
+    # 1/(1 - t)^12 (1 + t^2)^5 through degree 60: C(71, 11) alone takes 42
+    # bits and the largest coefficient 46, so two-byte slots widen to six.
+    polynomial, exterior = [0, 12] + [0] * 59, [0, 0, 5] + [0] * 58
+    coefficients, widths = widenings(monkeypatch, polynomial, exterior)
+    expected = naive_series([(1, "polynomial")] * 12 + [(2, "exterior")] * 5, 60)
+    assert list(coefficients) == expected
+    assert widths == [3, 4, 5, 6]
 
 
 def test_a_wrong_product_in_the_fold_leaves_a_remainder(monkeypatch, capsys):
