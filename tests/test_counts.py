@@ -1,8 +1,8 @@
 """Series from generator counts: the closed-form counts against word
 enumeration and the counting dynamic program; both paths of the fold, the
-Euler transform and the packed factor-by-factor product, against naive factor
-products, the oracle's factor fold and each other, the rule that picks
-between them, and the packed product's slot widening; and the homotopy
+Euler transform and the packed product of factors grouped by shift, against
+naive factor products, the oracle's factor fold and each other, the rule that
+picks between them, and the packed product's headroom rule; and the homotopy
 quotient far above the enumeration oracles' degree caps."""
 
 from math import comb
@@ -69,9 +69,15 @@ def fold(triples, n, kernel=_fold_counts):
     return kernel(arrays["polynomial"], arrays["exterior"])
 
 
+# In ``_fold_factors``: the third example groups 7 factors 1 + t^2 and 5 of
+# 1 + t^3, each more than N // s, into binomial sums; in the fourth, (1 + t)^7
+# leaves slots below 2^6, so the 9 shift-adds by t^2 need exactly the 10 top
+# bits that two-byte slots have clear.
 @given(count_profile())
 @example((12, [(1, "polynomial", 20), (2, "polynomial", 1)]))
 @example((12, [(1, "exterior", 9), (5, "exterior", 1), (3, "polynomial", 3)]))
+@example((12, [(3, "exterior", 5), (2, "polynomial", 7)]))
+@example((18, [(1, "exterior", 7), (2, "exterior", 9)]))
 def test_fold_equals_naive_product_of_expanded_factors(profile):
     n, triples = profile
     expanded = [(d, kind) for d, kind, b in triples for _ in range(b)]
@@ -101,57 +107,94 @@ def test_fold_equals_the_factor_fold_at_degree_2000(p):
     assert generator_series(p, (), 5) == TruncatedSeries.one(5)
 
 
-@pytest.mark.parametrize("p,n", [(2, 60), (3, 150), (5, 2000), (7, 3000), (11, 4000), (13, 4000)])
+@pytest.mark.parametrize("p,n", [
+    (2, 60), (2, 120), (3, 150), (3, 340), (3, 1000), (5, 2000), (7, 3000), (11, 4000), (13, 4000),
+])
 def test_factor_path_equals_the_euler_path(p, n):
     triples = _profile(p, n)
     assert fold(triples, n, _fold_factors) == fold(triples, n, _fold_euler)
 
 
-@pytest.mark.parametrize("p,n,path", [
-    (5, 500, "factors"), (7, 850, "factors"), (13, 4000, "factors"),
-    (2, 200, "euler"), (2, 27, "euler"), (3, 58, "euler"), (3, 500, "euler"), (7, 4000, "euler"),
-])
-def test_the_fold_takes_the_factor_path_at_most_n_over_2_shift_adds(monkeypatch, p, n, path):
+def kernel_taken(monkeypatch, fold_arrays):
+    """The names of the fold kernels that ``fold_arrays()`` calls, and its result."""
     taken = []
     for name, kernel in (("euler", _fold_euler), ("factors", _fold_factors)):
         def traced(*arrays, name=name, kernel=kernel):
             taken.append(name)
             return kernel(*arrays)
         monkeypatch.setattr(power_series, kernel.__name__, traced)
-    series = generator_series(p, (1,), n)
+    return taken, fold_arrays()
+
+
+# Points from the benchmark's degree ranges and beyond, on both sides of the
+# rule.  (2, 100) and (7, 4000) take the factor path because it is the faster
+# one there: 0.14 against 0.16 ms and 29 against 33 ms per fold; (2, 130),
+# 0.24 against 0.23 ms, does not.
+@pytest.mark.parametrize("p,n,path", [
+    (2, 27, "factors"), (2, 46, "factors"), (2, 100, "factors"), (3, 58, "factors"),
+    (3, 200, "factors"), (3, 340, "factors"), (3, 500, "factors"), (5, 500, "factors"),
+    (7, 850, "factors"), (7, 4000, "factors"), (13, 4000, "factors"),
+    (2, 130, "euler"), (2, 200, "euler"), (2, 4000, "euler"), (3, 1000, "euler"), (5, 4000, "euler"),
+])
+def test_the_fold_takes_the_factor_path_at_most_88_doublings_per_bit_of_n(monkeypatch, p, n, path):
+    taken, series = kernel_taken(monkeypatch, lambda: generator_series(p, (1,), n))
     assert taken == [path]
     assert list(series.coefficients) == factor_fold(_profile(p, n), n)
 
 
-def widenings(monkeypatch, polynomial, exterior):
-    """``_fold_factors`` on the two arrays, and the slot widths it widened to."""
-    padded, widths = power_series._padded, []
-
-    def spy(x, w, count, wide):
-        if count == len(polynomial) and wide == w + 1:
-            widths.append(wide)
-        return padded(x, w, count, wide)
-
-    monkeypatch.setattr(power_series, "_padded", spy)
-    return _fold_factors(polynomial, exterior).coefficients, widths
-
-
-@pytest.mark.parametrize("b", [17, 18])
-def test_a_slot_widens_when_a_step_sets_its_top_bit(monkeypatch, b):
-    # (1 + t)^b at two-byte slots: C(17, 8) < 2^15 <= C(18, 9).
-    coefficients, widths = widenings(monkeypatch, [0] * 41, [0, b] + [0] * 39)
-    assert coefficients == tuple(comb(b, k) for k in range(41))
-    assert widths == ([] if b == 17 else [3])
+@pytest.mark.parametrize("extra,path", [(0, "factors"), (1, "euler")])
+def test_the_rule_counts_the_doublings_up_to_n_over_2(monkeypatch, extra, path):
+    # N = 10 has 4 bits, so the limit is 352 doublings d 2^j <= 5: 116
+    # polynomial generators of degree 1 give three each (t, t^2 and t^4; t^8
+    # is above N/2), one of degree 2 two and two of degree 3 one each.
+    # Polynomial ones of degree 6 and exterior ones give none.
+    polynomial, exterior = [0] * 11, [0] * 11
+    polynomial[1], polynomial[2], polynomial[3], polynomial[6] = 116, 1, 2 + extra, 50
+    exterior[1], exterior[5] = 400, 50
+    taken, series = kernel_taken(monkeypatch, lambda: _fold_counts(polynomial, exterior))
+    assert taken == [path]
+    triples = [(1, "polynomial", 116), (2, "polynomial", 1), (3, "polynomial", 2 + extra),
+               (6, "polynomial", 50), (1, "exterior", 400), (5, "exterior", 50)]
+    assert list(series.coefficients) == factor_fold(triples, 10)
 
 
-def test_slots_widen_a_byte_at_a_time_to_the_final_width(monkeypatch):
-    # 1/(1 - t)^12 (1 + t^2)^5 through degree 60: C(71, 11) alone takes 42
-    # bits and the largest coefficient 46, so two-byte slots widen to six.
-    polynomial, exterior = [0, 12] + [0] * 59, [0, 0, 5] + [0] * 58
-    coefficients, widths = widenings(monkeypatch, polynomial, exterior)
-    expected = naive_series([(1, "polynomial")] * 12 + [(2, "exterior")] * 5, 60)
-    assert list(coefficients) == expected
-    assert widths == [3, 4, 5, 6]
+def final_width(monkeypatch, polynomial, exterior):
+    """``_fold_factors`` on the two arrays, and the slot width its groups end at."""
+    unpack, widths = power_series._unpack, []
+
+    def spy(x, w, count):
+        if count == len(polynomial):
+            widths.append(w)
+        return unpack(x, w, count)
+
+    monkeypatch.setattr(power_series, "_unpack", spy)
+    coefficients = _fold_factors(polynomial, exterior).coefficients
+    assert len(widths) == 1
+    return coefficients, widths[0]
+
+
+# A group that can multiply slots by 2^g needs their top g + 1 bits clear,
+# or every slot widens by ceil(g / 8) bytes.  1 sits in a two-byte slot with
+# 15 top bits clear: (1 + t)^14 is 14 shift-adds and fits, (1 + t)^15 widens
+# to four bytes.  Through degree 3, (1 + t)^46 is one sum of C(46, i) over
+# i <= 3, 16,262 = 2^14 - 122, so g = 14 and it fits; C(47, i) sum to
+# 17,344 > 2^14, so g = 15 and it widens.
+@pytest.mark.parametrize("n,b,width", [(20, 14, 2), (20, 15, 4), (3, 46, 2), (3, 47, 4)])
+def test_a_group_widens_its_slots_only_past_its_headroom(monkeypatch, n, b, width):
+    exterior = [0, b] + [0] * (n - 1)
+    coefficients, w = final_width(monkeypatch, [0] * (n + 1), exterior)
+    assert coefficients == tuple(comb(b, k) for k in range(n + 1))
+    assert w == width
+
+
+@pytest.mark.parametrize("b,width", [(9, 2), (10, 4)])
+def test_a_later_group_sees_the_headroom_earlier_groups_left(monkeypatch, b, width):
+    # (1 + t)^7 leaves every slot at most C(7, 3) = 35 < 2^6, so 10 top bits
+    # of two-byte slots are clear: 9 shift-adds by t^2 fit, 10 widen by 2 bytes.
+    exterior = [0, 7, b] + [0] * 18
+    coefficients, w = final_width(monkeypatch, [0] * 21, exterior)
+    assert list(coefficients) == naive_series([(1, "exterior")] * 7 + [(2, "exterior")] * b, 20)
+    assert w == width
 
 
 def test_a_wrong_product_in_the_fold_leaves_a_remainder(monkeypatch, capsys):
