@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import count, product
-from operator import add
 
 from .free_algebra import Generator, GeneratorSet
-from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, _fold_counts
+from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, _fold_counts, _sparse_product
 from .primes import require_prime
 
 
@@ -128,31 +127,24 @@ def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[in
     The words of one length k have the series sum t^w over the least words'
     degrees w (``_minimal_word_degrees``), divided by the Dickson-invariant
     denominator prod_{0<=j<k} (1 - t^(q (p^k - p^j))), q from ``_operations``
-    (Dickson 1911): one O(N) pass per factor.  The lengths stop at
-    the first with no word in range, as a word's tails qualify too.
+    (Dickson 1911).  The lengths stop at the first with no word in range, as
+    a word's tails qualify too; each length, and the empty word, is one term
+    of one packed product (``power_series._sparse_product``).
 
     >>> generator_degree_counts(2, 1, 6)
     [0, 1, 0, 1, 1, 1, 1]
     """
     _check_arguments(p, gen_degree, max_degree)
-    counts = [0] * (max_degree + 1)
     if gen_degree > max_degree:
-        return counts
-    counts[gen_degree] = 1
+        return [0] * (max_degree + 1)
     q, _ = _operations(p)
+    terms = [((gen_degree,), (), ())]
     for k in count(1):
         starts = [gen_degree + w for w in _minimal_word_degrees(p, gen_degree, k)]
         starts = [d for d in starts if d <= max_degree]
         if not starts:
-            return counts
-        series = [0] * (max_degree + 1)
-        for d in starts:
-            series[d] += 1
-        for j in range(k):
-            step = q * (p**k - p**j)
-            for i in range(min(starts) + step, max_degree + 1):
-                series[i] += series[i - step]
-        counts = list(map(add, counts, series))
+            return _sparse_product(terms, max_degree)
+        terms.append((starts, [q * (p**k - p**j) for j in range(k)], ()))
 
 
 def _kind(p: int, degree: int) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, prod
 from operator import add, mul
 from sys import byteorder
 
@@ -150,9 +150,13 @@ def _kronecker(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> lis
 
 
 def _unpack(x: int, w: int, count: int) -> list[int]:
-    """The low ``count`` w-byte slots of ``x``; slots up to 8 bytes in one word cast."""
-    if w <= 8 and byteorder == "little":
-        return memoryview(_padded(x, w, count, 8)).cast("Q").tolist()
+    """The low ``count`` w-byte slots of ``x``; slots up to 8 bytes in one
+    word cast, up to 16 bytes in two (low | high << 64)."""
+    if w <= 16 and byteorder == "little":
+        if w <= 8:
+            return memoryview(_padded(x, w, count, 8)).cast("Q").tolist()
+        words = memoryview(_padded(x, w, count, 16)).cast("Q").tolist()
+        return [low | high << 64 for low, high in zip(words[::2], words[1::2])]
     raw = _padded(x, w, count, w)
     return [int.from_bytes(raw[i:i + w], "little") for i in range(0, w * count, w)]
 
@@ -371,6 +375,48 @@ def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries
     low = int.from_bytes(_padded(x, w, n - h, wide), "little")
     coeffs[h + 1:] = map(add, coeffs[h + 1:], _unpack(low * _pack(high, wide), wide, n - h))
     return TruncatedSeries(n, coeffs)
+
+
+def _sparse_product(
+    terms: Sequence[tuple[Sequence[int], Sequence[int], Sequence[int]]], n: int
+) -> list[int]:
+    """Coefficients 0..n of the sum over ``terms`` (starts, polynomial
+    degrees, exterior degrees) of sum_{a in starts} t^a prod_d 1/(1 - t^d)
+    prod_e (1 + t^e).  Every term has a start, every start is at most n and
+    every degree at least 1.
+
+    The sum lives in one integer, a slot of w bytes per degree.  A term
+    begins as its t^a and takes each factor 1 + t^s as one masked shift-add
+    x += (x << 8 w s) & full: 1/(1 - t^d) as its doublings 1 + t^(d 2^j) up
+    to the term's span, n - min(starts), and each 1 + t^e as one.  The terms
+    are added up and one ``_unpack`` reads the slots.  Every factor is nonnegative with constant
+    term 1, so no step takes a slot past its final value and no slot
+    carries, and w is fixed before any step: a term's coefficient is at most
+    |starts| 2^|exterior| prod (span // d + 1) over its polynomial degrees
+    but the smallest, whose exponent the others fix.
+
+    >>> _sparse_product([((0,), (1, 1), ())], 4), _sparse_product([((1, 2), (), (1,))], 4)
+    ([1, 2, 3, 4, 5], [0, 1, 2, 1, 0])
+    """
+    bound = 0
+    for starts, polynomial, exterior in terms:
+        span = n - min(starts)
+        sizes = sorted(span // d + 1 for d in polynomial)[:-1]
+        bound += (len(starts) << len(exterior)) * prod(sizes)
+    bits = 8 * ((bound.bit_length() + 7) // 8)
+    full = (1 << bits * (n + 1)) - 1
+    total = 0
+    for starts, polynomial, exterior in terms:
+        span = n - min(starts)
+        x = sum(1 << bits * a for a in starts)
+        for d in polynomial:
+            while d <= span:
+                x += (x << bits * d) & full
+                d *= 2
+        for e in exterior:
+            x += (x << bits * e) & full
+        total += x
+    return _unpack(total, bits // 8, n + 1)
 
 
 # Spans this short are solved term by term; above it the Kronecker product

@@ -13,8 +13,10 @@ from __future__ import annotations
 from operator import mul
 
 from .dyer_lashof import enumerate_generators, generator_series
-from .free_algebra import Monomial, enumerate_monomials, series_of
-from .power_series import TruncatedSeries, VerificationError
+from .free_algebra import Monomial, enumerate_monomials
+# bench/tracing.py wraps series_of under this module's name.
+from .free_algebra import series_of  # noqa: F401
+from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, VerificationError, _sparse_product
 from .power_series import multiply_over_generators, quotient_over_generators
 from .primes import require_prime
 from .steenrod_dual import milnor_generator_degrees
@@ -47,8 +49,14 @@ def homology_series(p: int, max_degree: int) -> TruncatedSeries:
 
 
 def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
-    """Dimension series of the mod-p dual Steenrod algebra."""
-    return series_of(milnor_generator_degrees(p, max_degree), max_degree)
+    """Dimension series of the mod-p dual Steenrod algebra, polynomial on
+    the xi_i and exterior on the tau_i (Milnor 1958): one term of the packed
+    product ``power_series._sparse_product``, which shares no pass with
+    ``series_of`` on the same generators."""
+    gens = milnor_generator_degrees(p, max_degree)
+    polynomial = [g.degree for g in gens if g.kind == POLYNOMIAL]
+    exterior = [g.degree for g in gens if g.kind == EXTERIOR]
+    return TruncatedSeries(max_degree, _sparse_product([((0,), polynomial, exterior)], max_degree))
 
 
 class HomotopyReport(Value):

@@ -1,4 +1,5 @@
 from math import isqrt
+from operator import add
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -296,3 +297,56 @@ def test_multiply_over_generators_is_mul_by_the_factor_fold(profile):
     fold = TruncatedSeries(n, tuple(factor_fold([(d, kind, 1) for d, kind in pairs], n)))
     assert multiply_over_generators(series, gens) == series.mul(fold)
     assert multiply_over_generators(TruncatedSeries.one(n), gens) == fold
+
+
+# Slots of up to 8 bytes are read by one word cast, of 9 to 16 by two, wider
+# ones one at a time; each width with slots all ones, zero, and a packed
+# slot above ``count`` that the read must leave out.
+@pytest.mark.parametrize("w", [1, 7, 8, 9, 15, 16, 17])
+def test_unpack_reads_back_the_slots_pack_writes(w):
+    top = (1 << 8 * w) - 1
+    slots = [top, 0, 1, top, top, 0, top - 1, 1 << 8 * w - 1]
+    assert power_series._unpack(power_series._pack(slots + [top], w), w, len(slots)) == slots
+    assert power_series._unpack(0, w, 3) == [0, 0, 0]
+
+
+@st.composite
+def sparse_terms(draw):
+    """A truncation degree N and one to three (starts, polynomial degrees,
+    exterior degrees) terms: starts and degrees may repeat, degrees may
+    exceed N."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    degrees = st.lists(st.integers(min_value=1, max_value=n + 3), max_size=4)
+    starts = st.lists(st.integers(min_value=0, max_value=n), min_size=1, max_size=3)
+    return n, draw(st.lists(st.tuples(starts, degrees, degrees), min_size=1, max_size=3))
+
+
+# 1/(1 - t)^3 reaches C(26, 2) = 325 at degree 24, past one-byte slots.
+@given(sparse_terms())
+@example((24, [([0], [1, 1, 1], [])]))
+@example((12, [([0, 5, 5], [2, 3, 3, 13], [1, 1, 12]), ([12], [1], [1])]))
+def test_sparse_product_equals_the_naive_expanded_sum(case):
+    n, terms = case
+    expected = [0] * (n + 1)
+    for starts, polynomial, exterior in terms:
+        factors = [(d, "polynomial") for d in polynomial] + [(e, "exterior") for e in exterior]
+        product = naive_series(factors, n)
+        for a in starts:
+            expected[a:] = map(add, expected[a:], product)
+    assert power_series._sparse_product(terms, n) == expected
+
+
+# The slot bound of 1/(1 - t)^2 through degree N is N // 1 + 1, one factor
+# left out, and equals the top coefficient: 255 fits one-byte slots, 256
+# needs two.
+@pytest.mark.parametrize("n,width", [(254, 1), (255, 2)])
+def test_an_exact_slot_bound_sizes_the_slots(monkeypatch, n, width):
+    unpack, widths = power_series._unpack, []
+
+    def spy(x, w, count):
+        widths.append(w)
+        return unpack(x, w, count)
+
+    monkeypatch.setattr(power_series, "_unpack", spy)
+    assert power_series._sparse_product([((0,), (1, 1), ())], n) == list(range(1, n + 2))
+    assert widths == [width]

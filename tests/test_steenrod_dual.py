@@ -95,3 +95,11 @@ def test_milnor_set_matches_a_membership_oracle_far_above_the_caps(p):
     report = homotopy_report(p, n)
     product = naive_mul(list(report.homotopy_series.coefficients), oracle)
     assert product == list(report.homology_series.coefficients)
+
+
+# steenrod_series builds the series in one packed product and series_of by
+# the forward list kernel, so they share no pass.
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_steenrod_series_equals_the_forward_kernel_on_the_milnor_generators(p):
+    for n in (0, 1, 4 * (p - 1), 850, 4000):
+        assert steenrod_series(p, n) == series_of(milnor_generator_degrees(p, n), n), n
