@@ -15,9 +15,10 @@ from .free_algebra import (
     Monomial,
     MonomialBasis,
     enumerate_monomials,
+    product_over_generators,
     series_of,
 )
-from .power_series import TruncatedSeries, product_over_generators
+from .power_series import TruncatedSeries
 from .steenrod_dual import milnor_generator_degrees
 from .versal import (
     CollisionWitness,

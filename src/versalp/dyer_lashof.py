@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import count, product
 
-from .free_algebra import Generator, GeneratorSet
-from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, _fold_counts, _sparse_product
+from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
+from .power_series import TruncatedSeries, _fold_counts, _sparse_product
 from .primes import require_prime
 
 

@@ -11,9 +11,21 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries
-from .power_series import _check_factor, product_over_generators
+from .power_series import TruncatedSeries, multiply_over_generators
 from .value import Value
+
+# Generator kinds: of degree d, a polynomial one gives 1/(1 - t^d), an exterior one 1 + t^d.
+POLYNOMIAL = "polynomial"
+EXTERIOR = "exterior"
+KINDS = (POLYNOMIAL, EXTERIOR)
+
+
+def _check_factor(d: int, kind: str) -> None:
+    """Raise ValueError unless degree d and ``kind`` name a generator's factor."""
+    if d < 1:
+        raise ValueError(f"generator degree must be >= 1, got {d}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
 
 
 class Generator(Value):
@@ -143,9 +155,17 @@ class MonomialBasis(Value):
         return TruncatedSeries(self.truncation_degree, tuple(self.dimensions()))
 
 
-def series_of(gens: GeneratorSet, truncation_degree: int) -> TruncatedSeries:
-    """Generating function of the monomial basis, degree by degree."""
-    return product_over_generators(gens, truncation_degree)
+def product_over_generators(gens: Iterable[Generator], truncation_degree: int) -> TruncatedSeries:
+    """Generating function of the monomial basis on ``gens``: each degree,
+    checked with its kind, in its kind's list of ``multiply_over_generators``."""
+    polynomial, exterior = [], []
+    for g in gens:
+        _check_factor(g.degree, g.kind)
+        (exterior if g.kind == EXTERIOR else polynomial).append(g.degree)
+    return multiply_over_generators(TruncatedSeries.one(truncation_degree), polynomial, exterior)
+
+
+series_of = product_over_generators
 
 
 def _factor(g: Generator, e: int) -> tuple[tuple[Generator, int], ...]:

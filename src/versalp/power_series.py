@@ -16,14 +16,6 @@ from sys import byteorder
 
 from .value import Value
 
-# Annotations are not evaluated, so "Generator" names free_algebra.Generator
-# without importing that module, which imports this one.
-
-# Generator kinds: of degree d, a polynomial one gives 1/(1 - t^d), an exterior one 1 + t^d.
-POLYNOMIAL = "polynomial"
-EXTERIOR = "exterior"
-KINDS = (POLYNOMIAL, EXTERIOR)
-
 
 class VerificationError(Exception):
     """A mathematical consistency check failed; no report may be emitted."""
@@ -192,77 +184,59 @@ def _pack_signed(coeffs: Sequence[int], w: int) -> int:
     return _pack(map(add, coeffs, repeat(half)), w) - _offsets(len(coeffs), w)
 
 
-def _check_factor(d: int, kind: str) -> None:
-    """Raise ValueError unless degree d and ``kind`` name a generator's factor."""
-    if d < 1:
-        raise ValueError(f"generator degree must be >= 1, got {d}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown generator kind {kind!r}")
+def _check_degrees(polynomial: Sequence[int], exterior: Sequence[int]) -> None:
+    """Raise ValueError unless every degree in both lists is at least 1."""
+    low = min([*polynomial, *exterior], default=1)
+    if low < 1:
+        raise ValueError(f"generator degree must be >= 1, got {low}")
 
 
-def _apply_factor(c: list[int], d: int, kind: str) -> None:
-    """Divide ``c`` in place by 1/(1 - t^d) or (1 + t^d) in one pass of
-    ``c[i] -= c[i - d]``, bottom up for (1 + t^d), whose terms see new ones."""
-    _check_factor(d, kind)
-    n = len(c) - 1
-    for i in range(d, n + 1) if kind == EXTERIOR else range(n, d - 1, -1):
-        c[i] -= c[i - d]
-
-
-def multiply_over_generators(
-    series: TruncatedSeries, gens: Iterable["Generator"]
-) -> TruncatedSeries:
-    """``series`` times the series of the free graded-commutative algebra on
-    ``gens``: the forward twin of ``quotient_over_generators``, sharing no
-    pass with it.  A polynomial factor 1/(1 - t^d) is a prefix sum along each
-    residue class mod d, one ``accumulate`` per class when d*d <= N, else
-    each block of d terms added onto the one below, so at most sqrt(N) steps
-    in Python; an exterior factor (1 + t^d) is one shifted add.  Both leave
-    the series as it is when d > N."""
+def multiply_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
+                             exterior: Sequence[int]) -> TruncatedSeries:
+    """``series`` times prod_d 1/(1 - t^d) over the ``polynomial`` degrees
+    and prod_e (1 + t^e) over the ``exterior`` ones: the forward twin of
+    ``quotient_over_generators``, sharing no pass with it.  A factor
+    1/(1 - t^d) is a prefix sum along each residue class mod d, one
+    ``accumulate`` per class when d*d <= N, else each block of d terms added
+    onto the one below, so at most sqrt(N) steps in Python; a factor
+    (1 + t^e) is one shifted add.  Both leave the series as it is when the
+    degree is above N."""
+    _check_degrees(polynomial, exterior)
     c = list(series.coefficients)
     n = len(c) - 1
-    for g in gens:
-        d, kind = g.degree, g.kind
-        _check_factor(d, kind)
-        if kind == EXTERIOR:
-            c[d:] = map(add, c[d:], c[:-d])
-        elif d * d <= n:
+    for d in polynomial:
+        if d * d <= n:
             for r in range(d):
                 c[r::d] = accumulate(c[r::d])
         else:
             for k in range(d, n + 1, d):
                 c[k:k + d] = map(add, c[k:k + d], c[k - d:k])
+    for e in exterior:
+        c[e:] = map(add, c[e:], c[:-e])
     return TruncatedSeries(n, tuple(c))
 
 
-def product_over_generators(
-    gens: Iterable["Generator"], truncation_degree: int
-) -> TruncatedSeries:
-    """Dimension series of the free graded-commutative algebra on ``gens``,
-    ``multiply_over_generators`` applied to 1."""
-    return multiply_over_generators(TruncatedSeries.one(truncation_degree), gens)
+def quotient_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
+                             exterior: Sequence[int]) -> TruncatedSeries:
+    """``series`` divided by ``multiply_over_generators(1, polynomial,
+    exterior)``, its exact inverse with the same validation: each degree
+    d <= N undone by one O(N) pass of ``c[i] -= c[i - d]``, top down for a
+    polynomial one, a product by (1 - t^d), bottom up for an exterior one,
+    a division by (1 + t^d), whose terms see new ones.
 
-
-def quotient_over_generators(
-    series: TruncatedSeries, gens: Iterable["Generator"]
-) -> TruncatedSeries:
-    """``series`` divided by ``product_over_generators(gens, N)``, the
-    exact inverse of that product.
-
-    Each generator of degree d <= N is undone by one O(N) pass: a
-    polynomial one by multiplying with (1 - t^d), an exterior one by
-    dividing by (1 + t^d).  Validation is that of the product.
-
-    >>> from versalp.free_algebra import Generator
-    >>> gens = [Generator("x", 1, "polynomial"), Generator("y", 2, "exterior")]
-    >>> f = product_over_generators(gens, 4)
-    >>> quotient_over_generators(f, gens) == TruncatedSeries.one(4)
-    True
+    >>> quotient_over_generators(TruncatedSeries(4, (1, 1, 2, 2, 2)), [1], [2]).coefficients
+    (1, 0, 0, 0, 0)
     """
+    _check_degrees(polynomial, exterior)
     c = list(series.coefficients)
-    for g in gens:
-        _apply_factor(c, g.degree, g.kind)
-    return TruncatedSeries(series.truncation_degree, tuple(c))
+    n = len(c) - 1
+    for d in polynomial:
+        for i in range(n, d - 1, -1):
+            c[i] -= c[i - d]
+    for e in exterior:
+        for i in range(e, n + 1):
+            c[i] -= c[i - e]
+    return TruncatedSeries(n, tuple(c))
 
 
 # ``_fold_factors`` runs while the polynomial generators' factors

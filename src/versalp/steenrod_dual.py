@@ -1,4 +1,4 @@
-"""Generator data of the mod-p dual Steenrod algebra up to a degree bound.
+"""Generator degrees of the mod-p dual Steenrod algebra up to a degree bound.
 
 At p = 2 the algebra is polynomial on xi_i of degree 2^i - 1 (i >= 1).
 At odd p it is polynomial on xi_i of degree 2(p^i - 1) (i >= 1) tensored
@@ -7,26 +7,30 @@ with an exterior algebra on tau_i of degree 2 p^i - 1 (i >= 0).
 
 from __future__ import annotations
 
+from itertools import count, takewhile
+
 from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
 from .primes import require_prime
 
 
-def milnor_generator_degrees(p: int, max_degree: int) -> GeneratorSet:
-    """The Milnor generators xi_i and tau_i of degree <= max_degree.
+def milnor_degrees(p: int, max_degree: int) -> tuple[list[int], list[int]]:
+    """(xi degrees, tau degrees) up to ``max_degree``, each ascending in i.
 
-    Their degrees are distinct (at odd p the xi degrees are even and the tau
-    degrees odd), so the set's (degree, label) order is the degree order."""
+    >>> milnor_degrees(2, 8), milnor_degrees(3, 20)
+    (([1, 3, 7], []), ([4, 16], [1, 5, 17]))
+    """
     require_prime(p)
     if max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
-    if p == 2:
-        families = (("xi", 1, POLYNOMIAL, lambda i: 2**i - 1),)
-    else:
-        families = (("xi", 1, POLYNOMIAL, lambda i: 2 * (p**i - 1)),
-                    ("tau", 0, EXTERIOR, lambda i: 2 * p**i - 1))
-    out = []
-    for family, i, kind, degree in families:
-        while degree(i) <= max_degree:
-            out.append(Generator(f"{family}_{i}", degree(i), kind))
-            i += 1
-    return GeneratorSet(tuple(out))
+    xi = (2**i - 1 if p == 2 else 2 * (p**i - 1) for i in count(1))
+    tau = () if p == 2 else (2 * p**i - 1 for i in count(0))
+    return list(takewhile(max_degree.__ge__, xi)), list(takewhile(max_degree.__ge__, tau))
+
+
+def milnor_generator_degrees(p: int, max_degree: int) -> GeneratorSet:
+    """``milnor_degrees`` labelled xi_1, xi_2, ... and tau_0, tau_1, ...
+    for the ``steenrod`` listing.  The degrees are distinct (at odd p the xi
+    ones even, the tau ones odd), so the set's order is the degree order."""
+    xi, tau = milnor_degrees(p, max_degree)
+    return GeneratorSet([Generator(f"xi_{i}", d, POLYNOMIAL) for i, d in enumerate(xi, 1)]
+                        + [Generator(f"tau_{i}", d, EXTERIOR) for i, d in enumerate(tau)])

@@ -16,10 +16,10 @@ from .dyer_lashof import enumerate_generators, generator_series
 from .free_algebra import Monomial, enumerate_monomials
 # bench/tracing.py wraps series_of under this module's name.
 from .free_algebra import series_of  # noqa: F401
-from .power_series import EXTERIOR, POLYNOMIAL, TruncatedSeries, VerificationError, _sparse_product
+from .power_series import TruncatedSeries, VerificationError, _sparse_product
 from .power_series import multiply_over_generators, quotient_over_generators
 from .primes import require_prime
-from .steenrod_dual import milnor_generator_degrees
+from .steenrod_dual import milnor_degrees
 from .value import Value
 
 # Homotopy entries are F_p dimensions; reading the degree-n entry as the
@@ -50,13 +50,12 @@ def homology_series(p: int, max_degree: int) -> TruncatedSeries:
 
 def steenrod_series(p: int, max_degree: int) -> TruncatedSeries:
     """Dimension series of the mod-p dual Steenrod algebra, polynomial on
-    the xi_i and exterior on the tau_i (Milnor 1958): one term of the packed
-    product ``power_series._sparse_product``, which shares no pass with
-    ``series_of`` on the same generators."""
-    gens = milnor_generator_degrees(p, max_degree)
-    polynomial = [g.degree for g in gens if g.kind == POLYNOMIAL]
-    exterior = [g.degree for g in gens if g.kind == EXTERIOR]
-    return TruncatedSeries(max_degree, _sparse_product([((0,), polynomial, exterior)], max_degree))
+    the xi_i and exterior on the tau_i (Milnor 1958): the Milnor degrees
+    (``milnor_degrees``) as one term of the packed product
+    ``power_series._sparse_product``, which shares no pass with
+    ``multiply_over_generators`` on the same degrees."""
+    xi, tau = milnor_degrees(p, max_degree)
+    return TruncatedSeries(max_degree, _sparse_product([((0,), xi, tau)], max_degree))
 
 
 class HomotopyReport(Value):
@@ -80,26 +79,26 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     recorded, not raised.
 
     The dual Steenrod algebra is polynomial on the xi_i tensor exterior on
-    the tau_i (Milnor), so the quotient undoes its generators' factors one
-    at a time (``quotient_over_generators``), in O(N) each.  The
-    ``tensor_identity`` outcome multiplies it back by the same generators'
-    factors with the forward kernel (``multiply_over_generators``), which
-    shares no pass with the inverse one, and compares every coefficient with
-    the homology.  Only the Milnor set is shared by both sides.
+    the tau_i (Milnor), so the quotient undoes their degrees' factors one at
+    a time (``quotient_over_generators``), in O(N) each.  The
+    ``tensor_identity`` outcome multiplies it back by the same factors with
+    the forward kernel (``multiply_over_generators``), which shares no pass
+    with the inverse one, and compares every coefficient with the homology.
+    Only the Milnor degrees (``milnor_degrees``) are shared by both sides.
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
     degree is in range.
     """
     hom = homology_series(p, max_degree)
-    milnor = milnor_generator_degrees(p, max_degree)
-    quo = quotient_over_generators(hom, milnor)
+    milnor = milnor_degrees(p, max_degree)
+    quo = quotient_over_generators(hom, *milnor)
     c = quo.coefficients
     top = 4 * (p - 1)
     gap = c[0] == 1 and not any(c[1:min(top, max_degree + 1)])
     gap = gap and (max_degree < top or c[top] == 1)
     first = next((d for d in range(1, max_degree + 1) if c[d]), None)
-    identity = multiply_over_generators(quo, milnor) == hom
+    identity = multiply_over_generators(quo, *milnor) == hom
     return HomotopyReport(p, max_degree, hom, quo, gap, first, min(c) >= 0, identity)
 
 

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from versalp import power_series
-from versalp.free_algebra import Generator, GeneratorSet
+from versalp.free_algebra import KINDS, Generator, GeneratorSet, product_over_generators
 from versalp.power_series import (
-    KINDS,
     TruncatedSeries,
     multiply_over_generators,
-    product_over_generators,
     quotient_over_generators,
 )
 
@@ -242,6 +240,12 @@ def test_mul_matches_naive_convolution_on_large_signed_coefficients(fg):
         assert list(f.mul(g).coefficients) == expected
 
 
+def _by_kind(pairs):
+    """The (polynomial degrees, exterior degrees) of (degree, kind) pairs."""
+    return ([d for d, kind in pairs if kind == "polynomial"],
+            [d for d, kind in pairs if kind == "exterior"])
+
+
 @given(generator_profile(), st.data())
 def test_quotient_over_generators_is_division_by_their_product(profile, data):
     n, gens, order = profile
@@ -249,20 +253,20 @@ def test_quotient_over_generators_is_division_by_their_product(profile, data):
         st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1)
     )))
     expected = num.div(product_over_generators(GeneratorSet(tuple(gens)), n))
-    assert quotient_over_generators(num, gens) == expected
-    assert quotient_over_generators(num, order) == expected
+    for listing in (gens, order):
+        lists = _by_kind([(g.degree, g.kind) for g in listing])
+        assert quotient_over_generators(num, *lists) == expected
 
 
-def test_quotient_rejects_what_the_product_rejects():
-    # Validation comes before the skip of a generator above the truncation degree.
-    for bad, message in (
-        (_Stub(0, "polynomial"), "generator degree must be >= 1, got 0"),
-        (_Stub(2, "free"), "unknown generator kind 'free'"),
-        (_Stub(9, "free"), "unknown generator kind 'free'"),
-    ):
-        for kernel in (multiply_over_generators, quotient_over_generators):
-            with pytest.raises(ValueError, match=message):
-                kernel(TruncatedSeries.one(4), [bad])
+# Validation comes before the skip of a degree above the truncation degree.
+@pytest.mark.parametrize("polynomial,exterior", [
+    ([0], []), ([], [0]), ([9, -1], []), ([], [2, 9, 0]), ([9], [-3]), ([0, 1], [1]),
+])
+def test_quotient_rejects_what_the_product_rejects(polynomial, exterior):
+    bad = min(polynomial + exterior)
+    for kernel in (multiply_over_generators, quotient_over_generators):
+        with pytest.raises(ValueError, match=f"generator degree must be >= 1, got {bad}"):
+            kernel(TruncatedSeries.one(4), polynomial, exterior)
 
 
 @st.composite
@@ -293,10 +297,9 @@ def _every_path(n):
 def test_multiply_over_generators_is_mul_by_the_factor_fold(profile):
     series, pairs = profile
     n = series.truncation_degree
-    gens = [Generator(f"g{i}", d, kind) for i, (d, kind) in enumerate(pairs)]
     fold = TruncatedSeries(n, tuple(factor_fold([(d, kind, 1) for d, kind in pairs], n)))
-    assert multiply_over_generators(series, gens) == series.mul(fold)
-    assert multiply_over_generators(TruncatedSeries.one(n), gens) == fold
+    assert multiply_over_generators(series, *_by_kind(pairs)) == series.mul(fold)
+    assert multiply_over_generators(TruncatedSeries.one(n), *_by_kind(pairs)) == fold
 
 
 # Slots of up to 8 bytes are read by one word cast, of 9 to 16 by two, wider

@@ -1,7 +1,7 @@
 import pytest
 
 from versalp.free_algebra import enumerate_monomials, series_of
-from versalp.steenrod_dual import milnor_generator_degrees
+from versalp.steenrod_dual import milnor_degrees, milnor_generator_degrees
 from versalp.versal import homotopy_report, steenrod_series
 
 from oracles import factor_fold, milnor_degrees_by_membership, naive_mul, naive_series
@@ -83,10 +83,13 @@ def test_empty_range_and_validation():
         milnor_generator_degrees(2, -1)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_milnor_set_matches_a_membership_oracle_far_above_the_caps(p):
+    oracle = milnor_degrees_by_membership(p, 10**6)
+    assert milnor_degrees(p, 10**6) == ([d for d, kind in oracle if kind == "polynomial"],
+                                        [d for d, kind in oracle if kind == "exterior"])
     gens = milnor_generator_degrees(p, 10**6)
-    assert [(g.degree, g.kind) for g in gens] == milnor_degrees_by_membership(p, 10**6)
+    assert [(g.degree, g.kind) for g in gens] == oracle
     n = 2000
     oracle = factor_fold(
         [(d, kind, 1) for d, kind in milnor_degrees_by_membership(p, n)], n
@@ -95,6 +98,14 @@ def test_milnor_set_matches_a_membership_oracle_far_above_the_caps(p):
     report = homotopy_report(p, n)
     product = naive_mul(list(report.homotopy_series.coefficients), oracle)
     assert product == list(report.homology_series.coefficients)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_generator_labels_are_the_list_positions(p):
+    xi, tau = milnor_degrees(p, 10**6)
+    labelled = {g.label: (g.degree, g.kind) for g in milnor_generator_degrees(p, 10**6)}
+    assert labelled == {**{f"xi_{i}": (d, "polynomial") for i, d in enumerate(xi, 1)},
+                        **{f"tau_{i}": (d, "exterior") for i, d in enumerate(tau)}}
 
 
 # steenrod_series builds the series in one packed product and series_of by

@@ -3,17 +3,15 @@ from operator import add
 
 import pytest
 
-from versalp import cli, power_series, versal
+from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators, generator_series
-from versalp.free_algebra import Generator, GeneratorSet, enumerate_monomials
+from versalp.free_algebra import Generator, enumerate_monomials
 from versalp.power_series import (
-    EXTERIOR,
-    POLYNOMIAL,
     TruncatedSeries,
-    _apply_factor,
     multiply_over_generators,
+    quotient_over_generators,
 )
-from versalp.steenrod_dual import milnor_generator_degrees
+from versalp.steenrod_dual import milnor_degrees, milnor_generator_degrees
 from versalp.versal import (
     VerificationError,
     cotangent_series,
@@ -94,8 +92,8 @@ def test_homotopy_truncated_below_the_gap():
 def test_homotopy_negative_coefficient_aborts(monkeypatch):
     quotient = versal.quotient_over_generators
 
-    def one_negative_at_the_top(series, gens):
-        c = quotient(series, gens).coefficients
+    def one_negative_at_the_top(series, polynomial, exterior):
+        c = quotient(series, polynomial, exterior).coefficients
         return TruncatedSeries(len(c) - 1, c[:-1] + (-1,))
 
     monkeypatch.setattr(versal, "quotient_over_generators", one_negative_at_the_top)
@@ -106,8 +104,8 @@ def test_homotopy_negative_coefficient_aborts(monkeypatch):
 def test_multiply_back_catches_a_wrong_quotient(monkeypatch, capsys):
     quotient = versal.quotient_over_generators
 
-    def one_too_many_at_the_top(series, gens):
-        c = quotient(series, gens).coefficients
+    def one_too_many_at_the_top(series, polynomial, exterior):
+        c = quotient(series, polynomial, exterior).coefficients
         return TruncatedSeries(len(c) - 1, c[:-1] + (c[-1] + 1,))
 
     # Degree 24 at p = 3 is far above the gap, so only the multiply-back can
@@ -281,8 +279,8 @@ def test_verify_computes_each_series_once(monkeypatch, capsys, p, n, reports):
 def test_selfmap_check_fails_on_a_fault_only_its_own_report_holds(monkeypatch, capsys):
     quotient = versal.quotient_over_generators
 
-    def one_too_many_at_degree_8(series, gens):
-        quo = quotient(series, gens)
+    def one_too_many_at_degree_8(series, polynomial, exterior):
+        quo = quotient(series, polynomial, exterior)
         c = quo.coefficients
         return quo if len(c) != 9 else TruncatedSeries(8, c[:-1] + (c[-1] + 1,))
 
@@ -307,34 +305,46 @@ def test_cotangent_shift_fails_when_the_suspension_shifts_nothing(monkeypatch, n
 
 
 def _passes(flip_sign=False, reverse=False):
-    """An ``_apply_factor`` with its sign flipped or its pass order reversed."""
-    def apply(c, d, kind):
+    """``quotient_over_generators`` with its sign flipped or the direction
+    of every pass reversed."""
+    def quotient(series, polynomial, exterior):
+        c = list(series.coefficients)
+        n = len(c) - 1
         sign = 1 if flip_sign else -1
-        bottom_up = (kind == EXTERIOR) != reverse
-        for i in range(d, len(c)) if bottom_up else range(len(c) - 1, d - 1, -1):
-            c[i] += sign * c[i - d]
-    return apply
+        for degrees, bottom_up in ((polynomial, reverse), (exterior, not reverse)):
+            for d in degrees:
+                for i in range(d, n + 1) if bottom_up else range(n, d - 1, -1):
+                    c[i] += sign * c[i - d]
+        return TruncatedSeries(n, tuple(c))
+    return quotient
 
 
-def _kinds_swapped(c, d, kind):
-    """The real ``_apply_factor`` with the kinds swapped.  There the kind only
-    picks the pass direction, so this computes what the reversed mutant does,
-    through the real code."""
-    _apply_factor(c, d, EXTERIOR if kind == POLYNOMIAL else POLYNOMIAL)
+def _lists_swapped(series, polynomial, exterior):
+    """The real ``quotient_over_generators`` with the two lists swapped.
+    There the list only picks the pass direction, so this computes what the
+    reversed mutant does, through the real code."""
+    return quotient_over_generators(series, exterior, polynomial)
 
 
 def _first_kind_swapped(p, n):
-    first, *rest = milnor_generator_degrees(p, n)
-    swapped = EXTERIOR if first.kind == POLYNOMIAL else POLYNOMIAL
-    return GeneratorSet((Generator(first.label, first.degree, swapped), *rest))
+    """``milnor_degrees`` with its first degree, xi_1 at p = 2 and tau_0 at
+    odd p, moved to the other list."""
+    xi, tau = milnor_degrees(p, n)
+    return (xi[1:], [xi[0], *tau]) if p == 2 else ([tau[0], *xi], tau[1:])
 
 
 STEENROD_MUTANTS = {
-    "reversed": (power_series, "_apply_factor", _passes(reverse=True)),
-    "flipped_sign": (power_series, "_apply_factor", _passes(flip_sign=True)),
-    "kinds_swapped": (power_series, "_apply_factor", _kinds_swapped),
-    "milnor_kind": (versal, "milnor_generator_degrees", _first_kind_swapped),
+    "reversed": (versal, "quotient_over_generators", _passes(reverse=True)),
+    "flipped_sign": (versal, "quotient_over_generators", _passes(flip_sign=True)),
+    "kinds_swapped": (versal, "quotient_over_generators", _lists_swapped),
+    "milnor_kind": (versal, "milnor_degrees", _first_kind_swapped),
 }
+
+
+@pytest.mark.parametrize("p,n", [(2, 40), (3, 60)])
+def test_the_unmutated_quotient_copy_is_the_kernel(p, n):
+    hom, milnor = homology_series(p, n), milnor_degrees(p, n)
+    assert _passes()(hom, *milnor) == quotient_over_generators(hom, *milnor)
 
 
 @pytest.mark.parametrize("p,n", [(2, 40), (3, 60)])
@@ -345,30 +355,29 @@ def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, 
     assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
     out = capsys.readouterr().out
     # The forward kernel of the identity does not run the inverse passes, so
-    # the identity sees their mutants; both sides read one Milnor set, so only
-    # the other checks see a wrong set.
-    assert ("FAIL  tensor_identity" if name == "_apply_factor" else "FAIL") in out
+    # the identity sees their mutants; both sides read one pair of Milnor
+    # degree lists, so only the other checks see a wrong pair.
+    assert ("FAIL  tensor_identity" if name == "quotient_over_generators" else "FAIL") in out
 
 
 def _forward(skip_class=False, block_offset=0, exterior_shift=0):
     """``multiply_over_generators`` with one fault: residue class 0 of a
     prefix-summed polynomial factor skipped, each block added from one degree
     higher, or an exterior factor shifted by d - 1 (not applied for d = 1)."""
-    def multiply(series, gens):
+    def multiply(series, polynomial, exterior):
         c = list(series.coefficients)
         n = len(c) - 1
-        for d, kind in ((g.degree, g.kind) for g in gens if g.degree <= n):
-            if kind == EXTERIOR:
-                s = d - exterior_shift
-                if s:
-                    c[s:] = map(add, c[s:], c[:-s])
-            elif d * d <= n:
+        for d in polynomial:
+            if d * d <= n:
                 for r in range(skip_class, d):
                     c[r::d] = accumulate(c[r::d])
             else:
                 for k in range(d, n + 1, d):
                     lo = k - d + block_offset
                     c[k:k + d] = map(add, c[k:k + d], c[lo:lo + d])
+        for s in (e - exterior_shift for e in exterior if e <= n):
+            if s:
+                c[s:] = map(add, c[s:], c[:-s])
         return TruncatedSeries(n, tuple(c))
     return multiply
 
@@ -392,8 +401,24 @@ def test_tensor_identity_fails_under_mutants_of_the_forward_kernel(
 ):
     # Without its fault the copy is the kernel, on the inputs verify gives it.
     quo = versal.homotopy_report(p, n).homotopy_series
-    gens = milnor_generator_degrees(p, n)
-    assert _forward()(quo, gens) == multiply_over_generators(quo, gens)
+    milnor = milnor_degrees(p, n)
+    assert _forward()(quo, *milnor) == multiply_over_generators(quo, *milnor)
     monkeypatch.setattr(versal, "multiply_over_generators", FORWARD_MUTANTS[mutant])
     assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
     assert "FAIL  tensor_identity" in capsys.readouterr().out
+
+
+# The series come from degree counts and degree lists; only listings label
+# generators.
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_series_reports_build_no_generator(monkeypatch, capsys, p):
+    def refuse(self, *fields):
+        raise AssertionError(f"a series report built a Generator {fields}")
+
+    monkeypatch.setattr(Generator, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        milnor_generator_degrees(p, 60)
+    assert versal.homotopy_report(p, 60).tensor_identity
+    assert steenrod_series(p, 60).coefficient(0) == 1
+    for command in ("homology", "homotopy", "thh"):
+        assert cli.main([command, "--prime", str(p), "--max-degree", "60"]) == 0
