@@ -14,12 +14,13 @@ import argparse
 import errno
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 from . import versal
 from .dyer_lashof import enumerate_generators
 # bench/tracing.py wraps enumerate_monomials under this module's name.
-from .free_algebra import GeneratorSet, enumerate_monomials, list_names  # noqa: F401
+from .free_algebra import GeneratorSet, enumerate_monomials, joined_names  # noqa: F401
 from .power_series import TruncatedSeries
 from .primes import PRIME_LIMIT, is_prime
 from .steenrod_dual import milnor_generator_degrees
@@ -64,25 +65,32 @@ def _sources(witness: versal.CollisionWitness) -> list[str]:
     return [m.render() for m in witness.source_monomials]
 
 
-def _names(r: Report, encode=str) -> list[list[str]] | None:
-    """The basis of a listing report in degrees 0..N, each name in the string
-    encoding ``encode``, once each degree is checked to hold as many names as
-    the series says, which is computed from generator counts instead.  Raises
-    VerificationError, before anything is written, when they disagree."""
+# A listing's basis: called with a separator per degree, it yields each
+# degree's names joined by it as a list of pieces, [] for a degree with none.
+Basis = Callable[[Callable[[int], str]], Iterable[list[str]]]
+
+
+def _basis(r: Report, encode=str) -> Basis | None:
+    """The ``join`` of ``free_algebra.joined_names`` for a listing report's
+    basis in degrees 0..N, each name in the string encoding ``encode``, once
+    each degree is checked to hold as many names as the series says, which is
+    computed from generator counts instead.  Raises VerificationError, before
+    any name is joined, when they disagree."""
     if r.generators is None:
         return None
-    names = list_names(r.generators, r.max_degree, encode)
-    for d, (bucket, expected) in enumerate(zip(names, r.series)):
-        if len(bucket) != expected:
+    counts, join = joined_names(r.generators, r.max_degree, encode)
+    for d, (count, expected) in enumerate(zip(counts, r.series)):
+        if count != expected:
             raise versal.VerificationError(
-                f"{r.kind} lists {len(bucket)} monomials in degree {d}, the series says {expected}"
+                f"{r.kind} lists {count} monomials in degree {d}, the series says {expected}"
             )
-    return names
+    return join
 
 
-def _csv(r: Report, names: list[list[str]] | None) -> list[str]:
+def _csv(r: Report, basis: Basis | None) -> Iterable[str]:
     """Pieces of the CSV form, header first, each line ending in its own
-    newline; a listing writes each degree's rows as one piece.
+    newline; a listing writes each degree's rows, joined by ``\\nd,``, as one
+    short list of pieces after the first row's prefix.
 
     No field ever holds a comma, a double quote, a carriage return or a
     newline: fields are integers, fixed names, ``true``/``false``, monomial
@@ -98,17 +106,15 @@ def _csv(r: Report, names: list[list[str]] | None) -> list[str]:
         return ["name,value\n", *lines, f"image,{r.witness.image}\n"]
     if r.scalar_name is not None:
         return ["name,value\n", f"{r.scalar_name},{r.series[0]}\n"]
-    if names is not None:
-        parts = ["degree,monomial\n"]
-        for d, bucket in enumerate(names):
-            if bucket:  # every row of the bucket in one piece, after the first's prefix
-                parts += (f"{d},", f"\n{d},".join(bucket), "\n")
-        return parts
+    if basis is not None:
+        rows = basis(lambda d: f"\n{d},")
+        return chain(["degree,monomial\n"], chain.from_iterable(
+            [f"{d},", *pieces, "\n"] for d, pieces in enumerate(rows) if pieces))
     return ["degree,coefficient\n"] + [f"{d},{c}\n" for d, c in enumerate(r.series)]
 
 
-def _table(r: Report, names: list[list[str]] | None) -> list[str]:
-    """Pieces of the table form, split into lines and buckets as ``_csv``'s."""
+def _table(r: Report, basis: Basis | None) -> Iterable[str]:
+    """Pieces of the table form, split into lines and degrees as ``_csv``'s."""
     if r.verdicts is not None:
         return [
             f"{'PASS' if v.passed else 'FAIL'}  {v.name}"
@@ -120,11 +126,10 @@ def _table(r: Report, names: list[list[str]] | None) -> list[str]:
         return lines + [f"image   {r.witness.image}\n"]
     if r.scalar_name is not None:
         return [f"{r.series[0]}\n"]
-    if names is not None:
-        parts = ["degree  monomials\n"]
-        for d, bucket in enumerate(names):
-            parts += (f"{d:>6}  ", ", ".join(bucket) or "-", "\n")
-        return parts
+    if basis is not None:
+        rows = basis(lambda d: ", ")
+        return chain(["degree  monomials\n"], chain.from_iterable(
+            [f"{d:>6}  ", *(pieces or ["-"]), "\n"] for d, pieces in enumerate(rows)))
     lines = ["degree  coefficient\n"]
     lines += [f"{d:>6}  {c}\n" for d, c in enumerate(r.series)]
     if r.homotopy is not None:
@@ -140,13 +145,24 @@ def _table(r: Report, names: list[list[str]] | None) -> list[str]:
     return lines
 
 
-def _json_parts(r: Report, names: list[list[str]] | None, encode) -> list[str]:
+def _json_basis(basis: Basis) -> Iterator[list[str]]:
+    """The basis array of ``_json_parts``, one object per degree 0..N, each a
+    short list of pieces: the degree's names, JSON-escaped, joined once
+    between their outer quotes, copied nowhere."""
+    for d, pieces in enumerate(basis(lambda d: '",\n        "')):
+        monomials = ['[\n        "', *pieces, '"\n      ]'] if pieces else ["[]"]
+        yield [("," if d else "[") + f'\n    {{\n      "degree": {d},\n      "monomials": ',
+               *monomials, "\n    }"]
+    yield ["\n  ]"]
+
+
+def _json_parts(r: Report, basis: Basis | None, encode) -> Iterable[str]:
     """The pieces, in write order, of the envelope as ``json.dumps(document,
     indent=2) + "\\n"`` writes it: prime, max_degree, kind, series, then basis
-    (``names``, JSON-escaped), witness and the verify verdicts, assumptions,
-    and last the homotopy verdicts or the cotangent series.  ``encode`` is the
-    C string encoder, which ``json.dumps`` with an indent would not use.  Each
-    bucket of the basis is one piece, its names joined once, copied nowhere."""
+    (``basis``, its names JSON-escaped; ``_json_basis``), witness and the
+    verify verdicts, assumptions, and last the homotopy verdicts or the
+    cotangent series.  ``encode`` is the C string encoder, which
+    ``json.dumps`` with an indent would not use."""
     parts = [f'{{\n  "prime": {r.prime},\n  "max_degree": {r.max_degree},\n  "kind": ',
              encode(r.kind), ',\n  "series": ']
 
@@ -172,15 +188,10 @@ def _json_parts(r: Report, names: list[list[str]] | None, encode) -> list[str]:
                 "" if detail is None else ',\n      "detail": ' + encode(detail), "\n    }")
                for name, passed, detail in rows], write=parts.extend)
 
-    def bucket(item: tuple) -> None:
-        parts.append(f'{{\n      "degree": {item[0]},\n      "monomials": ')
-        array(item[1], "\n      ")
-        parts.append("\n    }")
-
     array(list(map(str, r.series)))
-    if names is not None:
+    if basis is not None:
         parts.append(',\n  "basis": ')
-        array(list(enumerate(names)), write=bucket)
+        at = len(parts)  # where the basis array goes
     if r.witness is not None:
         parts.append(',\n  "witness": {\n    "sources": ')
         array([encode(s)[1:-1] for s in _sources(r.witness)], "\n    ")
@@ -197,20 +208,22 @@ def _json_parts(r: Report, names: list[list[str]] | None, encode) -> list[str]:
         parts.append(',\n  "cotangent_series": ')
         array(list(map(str, r.cotangent.coefficients)))
     parts.append("\n}\n")
-    return parts
+    if basis is None:
+        return parts
+    return chain(parts[:at], chain.from_iterable(_json_basis(basis)), parts[at:])
 
 
-def render(report: Report, fmt: str) -> list[str]:
-    """``report`` as table, json or csv text: the list of its pieces in write
-    order, written straight from the report's fields, each degree of a listing
-    one piece in that form's encoding.  JSON escaping maps each character on
-    its own, so escaping each piece of a name once escapes every name that
-    holds it.  Raises VerificationError, before any piece exists, when the
-    listing disagrees with the series."""
+def render(report: Report, fmt: str) -> Iterable[str]:
+    """``report`` as table, json or csv text: its pieces in write order,
+    written straight from the report's fields, a listing's built one degree
+    at a time as they are read, in that form's encoding.  JSON escaping maps
+    each character on its own, so escaping each piece of a name once escapes
+    every name that holds it.  Raises VerificationError, before any piece
+    exists, when the listing disagrees with the series."""
     if fmt == "json":  # only JSON output pays for loading the package
         from json.encoder import encode_basestring_ascii as encode
-        return _json_parts(report, _names(report, lambda s: encode(s)[1:-1]), encode)
-    return (_csv if fmt == "csv" else _table)(report, _names(report))
+        return _json_parts(report, _basis(report, lambda s: encode(s)[1:-1]), encode)
+    return (_csv if fmt == "csv" else _table)(report, _basis(report))
 
 
 # Most monomials a listing report may hold; the series gives the exact count
@@ -375,7 +388,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     return 2 if report.failed else 0
 
 
-def _write_stdout(parts: list[str]) -> None:
+def _write_stdout(parts: Iterable[str]) -> None:
     """``parts`` on stdout as the UTF-8 bytes --output writes, whatever the
     locale's encoding, flushed, so that a failed write raises OSError here.
     A text stream without a binary buffer (an in-process ``StringIO``), whose

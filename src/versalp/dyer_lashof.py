@@ -9,7 +9,7 @@ give p-th powers and reappear as monomials, not generators.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import count, product
+from itertools import count
 
 from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
 from .power_series import TruncatedSeries, _fold_counts, _sparse_product
@@ -92,31 +92,36 @@ def generator_words(p: int, gen_degree: int, max_degree: int) -> list[tuple]:
     return [w for _, w in sorted(_raw_words(p, gen_degree, max_degree))]
 
 
-def _minimal_word_degrees(p: int, n: int, k: int) -> list[int]:
-    """Word degree of the least word of length k and excess > n, one per
-    Bockstein pattern eps_1..eps_k (one pattern at p = 2).
+def _minimal_word_degrees(p: int, n: int, k: int, budget: int) -> list[int]:
+    """Word degrees at most ``budget`` of the least words of length k and
+    excess > n, one per Bockstein pattern eps_1..eps_k (one pattern at
+    p = 2) whose least word is that small.
 
     With delta_j = p s_{j+1} - eps_{j+1} - s_j >= 0 and T = sum_{j>=2}
     eps_j, a word's excess is q s_k - 3 T - q sum_j delta_j (Bocksteins
     only occur at q = 2), and its degree rises by q (p^k - p^j) per unit of
-    delta_j.  The least word has every delta_j zero and the least excess
-    > n that is congruent to -3 T mod q; each entry adds q s (p - 1) - eps.
+    delta_j.  The least word has every delta_j zero and the least excess e
+    > n that is congruent to -3 T mod q; summing q s (p - 1) - eps over its
+    entries gives the degree (e + 3 T)(p^k - 1) - eps_1 - sum_{j>=2} eps_j
+    (q (p^(j-1) - 1) + 1).  Another Bockstein raises e + 3 T by at least 2,
+    so the degree by more than it takes off: the search adds Bocksteins at
+    j >= 2 only while the degree stays within ``budget``.
 
-    >>> _minimal_word_degrees(2, 1, 3), _minimal_word_degrees(3, 1, 1)
+    >>> _minimal_word_degrees(2, 1, 3, 14), _minimal_word_degrees(3, 1, 1, 4)
     ([14], [4, 3])
     """
     q, bocksteins = _operations(p)
-    degrees = []
-    for eps in product(bocksteins, repeat=k):
-        tail = sum(eps[1:])
-        excess = n + 1 + (n + 1 + tail) % q
-        s = (excess + 3 * tail) // q
-        degree = q * s * (p - 1) - eps[-1]
-        for j in range(k - 2, -1, -1):
-            s = p * s - eps[j + 1]
-            degree += q * s * (p - 1) - eps[j]
-        degrees.append(degree)
-    return degrees
+    found: list[int] = []
+
+    def search(first: int, tail: int, cut: int) -> None:
+        degree = (n + 1 + (n + 1 + tail) % q + 3 * tail) * (p**k - 1) - cut
+        if degree - bocksteins[-1] <= budget:
+            found.extend(degree - eps for eps in bocksteins if degree - eps <= budget)
+            for i in range(first, k if q == 2 else 0):  # eps_{i+1} becomes 1
+                search(i + 1, tail + 1, cut + q * (p**i - 1) + 1)
+
+    search(1, 0, 0)
+    return found
 
 
 def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[int]:
@@ -139,9 +144,9 @@ def generator_degree_counts(p: int, gen_degree: int, max_degree: int) -> list[in
         return [0] * (max_degree + 1)
     q, _ = _operations(p)
     terms = [((gen_degree,), (), ())]
+    budget = max_degree - gen_degree
     for k in count(1):
-        starts = [gen_degree + w for w in _minimal_word_degrees(p, gen_degree, k)]
-        starts = [d for d in starts if d <= max_degree]
+        starts = [gen_degree + w for w in _minimal_word_degrees(p, gen_degree, k, budget)]
         if not starts:
             return _sparse_product(terms, max_degree)
         terms.append((starts, [q * (p**k - p**j) for j in range(k)], ()))

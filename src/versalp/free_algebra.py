@@ -9,7 +9,7 @@ the per-generator factors.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .power_series import TruncatedSeries, multiply_over_generators
 from .value import Value
@@ -142,7 +142,7 @@ class MonomialBasis(Value):
 
     @property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
-        listing = _listing(self.generators, self.truncation_degree, (), _factor, ())
+        listing = _listing(self.generators.entries, self.truncation_degree, (), _factor, ())
         return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
@@ -172,7 +172,7 @@ def _factor(g: Generator, e: int) -> tuple[tuple[Generator, int], ...]:
     return ((g, e),)
 
 
-def _listing(gens: GeneratorSet, n: int, unit, power, joiner) -> list[list]:
+def _listing(gens: Sequence[Generator], n: int, unit, power, joiner) -> list[list]:
     """The basis in degrees 0..n, one element per monomial: ``unit`` for the
     empty monomial, ``power(g, e)`` for g^e alone, and ``power(g, e) + joiner
     + rest`` for g^e times a monomial ``rest`` in later generators.  Strings
@@ -185,7 +185,7 @@ def _listing(gens: GeneratorSet, n: int, unit, power, joiner) -> list[list]:
     descending lexicographic order of exponent vectors.
     """
     buckets: list[list] = [[unit]] + [[] for _ in range(n)]
-    for g in reversed(gens.entries):
+    for g in reversed(gens):
         d = g.degree
         exterior = g.kind == EXTERIOR
         top = 1 if exterior else n // d
@@ -220,8 +220,55 @@ def list_names(gens: GeneratorSet, truncation_degree: int, encode=str) -> list[l
     """
     if truncation_degree < 0:
         raise ValueError(f"truncation degree must be >= 0, got {truncation_degree}")
-    return _listing(gens, truncation_degree, encode("1"),
+    return _listing(gens.entries, truncation_degree, encode("1"),
                     lambda g, e: encode(_piece(g, e)), encode("·"))
+
+
+def joined_names(
+    gens: GeneratorSet, truncation_degree: int, encode=str
+) -> tuple[list[int], Callable[[Callable[[int], str]], Iterator[list[str]]]]:
+    """``(counts, join)`` for the names ``names = list_names(gens,
+    truncation_degree, encode)`` without building most of them: counts[d] is
+    ``len(names[d])``, and ``join(sep)`` yields, degree by degree, a list of
+    pieces that concatenate to ``sep(d).join(names[d])``.
+
+    The later generators are listed name by name (``_listing``); a monomial
+    with the lowest generator g never is.  Each degree is a list of runs
+    (head, rests), one per exponent e of g that the degree admits and a last
+    one for the monomials without g, whose names are head + r for r in rests:
+    head is g^e with the joiner, or g^e alone over the rest [""], or "" over
+    the names without g.  So a run joins as ``head + (sep + head).join(rests)``,
+    the counts are the lengths of the rests, and only ``join`` builds text.
+    """
+    n = truncation_degree
+    if n < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {n}")
+    unit, joiner = encode("1"), encode("·")
+    buckets = _listing(gens.entries[1:], n, unit, lambda g, e: encode(_piece(g, e)), joiner)
+    runs: list[list[tuple[str, list[str]]]] = [[] for _ in range(n + 1)]
+    for g in gens.entries[:1]:  # the lowest generator, if there is one
+        d = g.degree
+        top = min(1, n // d) if g.kind == EXTERIOR else n // d
+        powers = [encode(_piece(g, e)) for e in range(1, top + 1)]
+        for t in range(d, n + 1):
+            for e in range(min(t // d, top), 0, -1):
+                if e * d == t:
+                    runs[t].append((powers[e - 1], [""]))
+                elif buckets[t - e * d]:
+                    runs[t].append((powers[e - 1] + joiner, buckets[t - e * d]))
+    for t, bucket in enumerate(buckets):
+        if bucket:
+            runs[t].append(("", bucket))
+
+    def join(sep: Callable[[int], str]) -> Iterator[list[str]]:
+        for t, row in enumerate(runs):
+            s, pieces = sep(t), []
+            for head, rests in row:
+                between = s + head
+                pieces += (between if pieces else head, between.join(rests))
+            yield pieces
+
+    return [sum(len(rests) for _, rests in row) for row in runs], join
 
 
 def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialBasis:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators
-from versalp.free_algebra import EXTERIOR, Monomial, enumerate_monomials
+from versalp.free_algebra import EXTERIOR, Monomial, enumerate_monomials, list_names
 from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import VerificationError
 
@@ -657,11 +657,20 @@ def reports(draw):
 AWKWARD = ['"', "\\", "\x00\x1f\n", "\u00b7", "\U0001f600"]
 
 
-def assert_json_text_is_json_dumps(report, buckets):
+def joined(buckets):
+    """The names ``buckets`` as the basis ``cli._basis`` returns: each
+    degree's names joined by that degree's separator, in one piece."""
+    return lambda sep: ([sep(d).join(b)] if b else [] for d, b in enumerate(buckets))
+
+
+def assert_json_text_is_json_dumps(report, buckets, basis=None):
+    """``_json_parts`` of ``report`` and ``basis``, by default the names
+    ``buckets`` escaped and joined, is ``json.dumps`` of their envelope."""
     encode = json.encoder.encode_basestring_ascii
-    escaped = None if buckets is None else [[encode(s)[1:-1] for s in b] for b in buckets]
+    if basis is None and buckets is not None:
+        basis = joined([[encode(s)[1:-1] for s in b] for b in buckets])
     expected = json.dumps(envelope(report, buckets), indent=2) + "\n"
-    assert "".join(cli._json_parts(report, escaped, encode)) == expected
+    assert "".join(cli._json_parts(report, basis, encode)) == expected
 
 
 @given(reports())
@@ -681,7 +690,14 @@ def test_json_text_equals_json_dumps_of_the_envelope(case):
 ])
 def test_json_text_equals_json_dumps_of_library_reports(command, p, n, listed):
     report = cli.COMMANDS[command](p, n)
-    assert_json_text_is_json_dumps(report, cli._names(report) if listed else None)
+    if not listed:
+        assert_json_text_is_json_dumps(report, None)
+        return
+    def escape(s):
+        return json.encoder.encode_basestring_ascii(s)[1:-1]
+
+    names = list_names(report.generators, n)
+    assert_json_text_is_json_dumps(report, names, cli._basis(report, escape))
 
 
 @pytest.mark.parametrize("argv", [
@@ -710,29 +726,43 @@ def test_listing_that_disagrees_with_its_series_exits_2(monkeypatch, capsys, tmp
 
 
 def _traced_render(report, fmt):
-    """``cli.render(report, fmt)`` and the peak of the memory it traced.
-    tracemalloc counts allocations, so the machine's speed does not move it."""
+    """The length of ``cli.render(report, fmt)``'s document and the peak of
+    the memory traced while it was rendered and its pieces read one at a
+    time, none kept, as the writers read them.  tracemalloc counts
+    allocations, so the machine's speed does not move it."""
     tracemalloc.start()
     try:
-        return cli.render(report, fmt), tracemalloc.get_traced_memory()[1]
+        document = sum(map(len, cli.render(report, fmt)))
+        return document, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_json_listing_peaks_under_four_times_its_document():
-    # The names (one str object each) and the pieces take about three times the
-    # document; a bucket copied into the strings that enclose it takes five.
+    # Every name built as a str object and the document held whole take about
+    # three times the document; a degree copied into the strings that enclose
+    # it takes five.
     report = cli.COMMANDS["basis"](2, 30)
     cli.render(report, "json")  # loads json outside the trace
-    parts, peak = _traced_render(report, "json")
-    document = sum(map(len, parts))
+    document, peak = _traced_render(report, "json")
     assert document > 10**6
     assert peak <= 4 * document, (peak, document)
 
 
+def test_json_listing_read_as_written_peaks_near_its_document():
+    # Only the names without the lowest generator are built one by one, and
+    # one degree's text is held at a time; a document whose every name is a
+    # str object, or that is held whole, peaks near three times its length.
+    report = cli.COMMANDS["basis"](2, 30)
+    cli.render(report, "json")  # loads json outside the trace
+    document, peak = _traced_render(report, "json")
+    assert document > 10**6
+    assert peak <= 1.25 * document, (peak, document)
+
+
 def test_table_and_csv_listings_peak_no_higher_than_json():
-    # Every format holds the same names and writes each bucket as one piece;
-    # a table or CSV document joined whole would copy every bucket once more.
+    # Every format holds the same names and one degree's text at a time; a
+    # table or CSV document joined whole would copy every degree once more.
     report = cli.COMMANDS["basis"](2, 30)
     cli.render(report, "json")  # loads json outside the trace
     peak = {fmt: _traced_render(report, fmt)[1] for fmt in ("json", "csv", "table")}
@@ -743,7 +773,7 @@ def test_listing_over_the_size_limit_exits_1_before_enumerating(monkeypatch, cap
     def never(*args):
         raise AssertionError("listed a basis over the limit")
 
-    monkeypatch.setattr(cli, "list_names", never)
+    monkeypatch.setattr(cli, "joined_names", never)
     code, out, err = run(capsys, "basis", "--prime", "2", "--max-degree", "60")
     assert code == 1
     assert out == ""

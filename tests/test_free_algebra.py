@@ -9,6 +9,7 @@ from versalp.free_algebra import (
     GeneratorSet,
     Monomial,
     enumerate_monomials,
+    joined_names,
     list_names,
     series_of,
 )
@@ -230,3 +231,38 @@ def test_names_listed_in_an_escape_equal_the_names_escaped(case):
         expected = [[escape(name) for name in bucket] for bucket in canonical]
         assert list_names(gens, n, escape) == expected
     assert list_names(gens, n) == [list(bucket) for bucket in canonical]
+
+
+def escape_json(s):
+    return json.encoder.encode_basestring_ascii(s)[1:-1]
+
+
+# The separators the CLI joins a degree's names with (table, CSV, JSON), and
+# any text per degree, as many degrees as escaped_label_generator_set's N.
+SEPARATORS = st.one_of(
+    st.sampled_from([lambda d: ", ", lambda d: f"\n{d},", lambda d: '",\n        "']),
+    st.lists(st.text(max_size=3), min_size=9, max_size=9).map(lambda seps: seps.__getitem__),
+)
+
+
+@given(escaped_label_generator_set(), SEPARATORS, st.sampled_from([str, escape_json]))
+@example((GeneratorSet(()), 0), lambda d: f"\n{d},", str)
+@example((GeneratorSet(()), 5), lambda d: f"\n{d},", escape_json)
+@example((GeneratorSet((ext("e", 1), poly("x y", 1), poly("z", 2))), 0), lambda d: ", ", str)
+# lowest generator exterior, then polynomial, with others of its degree
+@example((GeneratorSet((ext("e", 1), poly("x y", 1), poly("z", 2))), 8),
+         lambda d: f"\n{d},", escape_json)
+@example((GeneratorSet((poly('"a', 1), ext("b", 1), ext("c", 3))), 8),
+         lambda d: '",\n        "', escape_json)
+@example((GeneratorSet((poly("a", 2), poly("b", 3))), 8), lambda d: f"\n{d},", str)
+def test_joined_names_join_the_listed_names(case, sep, encode):
+    gens, n = case
+    names = list_names(gens, n, encode)
+    counts, join = joined_names(gens, n, encode)
+    assert counts == [len(bucket) for bucket in names]
+    degrees = list(join(sep))
+    assert ["".join(pieces) for pieces in degrees] == [
+        sep(d).join(bucket) for d, bucket in enumerate(names)
+    ]
+    # A degree without names is an empty list of pieces.
+    assert [bool(pieces) for pieces in degrees] == [bool(bucket) for bucket in names]
