@@ -12,7 +12,8 @@ from collections.abc import Sequence
 from itertools import count
 
 from .free_algebra import EXTERIOR, POLYNOMIAL, Generator, GeneratorSet
-from .power_series import TruncatedSeries, _fold_counts, _sparse_product
+from .power_series import TruncatedSeries, _check_degrees, _fold_counts, _sparse_product
+from .power_series import multiply_over_generators
 from .primes import require_prime
 
 
@@ -41,8 +42,7 @@ def _operations(p: int) -> tuple[int, tuple[int, ...]]:
 
 def _check_arguments(p: int, gen_degree: int, max_degree: int) -> None:
     require_prime(p)
-    if gen_degree < 1:
-        raise ValueError(f"generator degree must be >= 1, got {gen_degree}")
+    _check_degrees((gen_degree,), ())
     if max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {max_degree}")
 
@@ -174,6 +174,16 @@ def generator_series(
     if p != 2:
         exterior[1::2], polynomial[1::2] = polynomial[1::2], exterior[1::2]
     return _fold_counts(polynomial, exterior)
+
+
+def _word_series(p: int, gen_degrees: Sequence[int], max_degree: int) -> TruncatedSeries:
+    """``generator_series`` recounted from the words: one generator per word of
+    ``_raw_words`` over each class, of the kind ``_kind`` gives its degree, by
+    the forward kernel, sharing no pass with the closed-form counts or fold."""
+    degrees = [n + wdeg for n in gen_degrees for wdeg, _ in _raw_words(p, n, max_degree)]
+    polynomial = [d for d in degrees if _kind(p, d) == POLYNOMIAL]
+    exterior = [d for d in degrees if _kind(p, d) == EXTERIOR]
+    return multiply_over_generators(TruncatedSeries.one(max_degree), polynomial, exterior)
 
 
 def enumerate_generators(

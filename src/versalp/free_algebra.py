@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .power_series import TruncatedSeries, multiply_over_generators
+from .power_series import TruncatedSeries, _check_degrees, multiply_over_generators
 from .value import Value
 
 # Generator kinds: of degree d, a polynomial one gives 1/(1 - t^d), an exterior one 1 + t^d.
@@ -22,8 +22,7 @@ KINDS = (POLYNOMIAL, EXTERIOR)
 
 def _check_factor(d: int, kind: str) -> None:
     """Raise ValueError unless degree d and ``kind`` name a generator's factor."""
-    if d < 1:
-        raise ValueError(f"generator degree must be >= 1, got {d}")
+    _check_degrees((d,), ())
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -184,6 +183,8 @@ def _listing(gens: Sequence[Generator], n: int, unit, power, joiner) -> list[lis
     the next generator, highest exponent first, keeps each bucket in
     descending lexicographic order of exponent vectors.
     """
+    if n < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {n}")
     buckets: list[list] = [[unit]] + [[] for _ in range(n)]
     for g in reversed(gens):
         d = g.degree
@@ -218,8 +219,6 @@ def list_names(gens: GeneratorSet, truncation_degree: int, encode=str) -> list[l
     only on the unit, the ``·`` joiner and each (generator, exponent) piece,
     and every name is a concatenation of those.
     """
-    if truncation_degree < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {truncation_degree}")
     return _listing(gens.entries, truncation_degree, encode("1"),
                     lambda g, e: encode(_piece(g, e)), encode("·"))
 
@@ -241,8 +240,6 @@ def joined_names(
     the counts are the lengths of the rests, and only ``join`` builds text.
     """
     n = truncation_degree
-    if n < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {n}")
     unit, joiner = encode("1"), encode("·")
     buckets = _listing(gens.entries[1:], n, unit, lambda g, e: encode(_piece(g, e)), joiner)
     runs: list[list[tuple[str, list[str]]]] = [[] for _ in range(n + 1)]
