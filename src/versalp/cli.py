@@ -15,7 +15,6 @@ import errno
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain
 
 from . import versal
 from .dyer_lashof import enumerate_generators
@@ -87,10 +86,10 @@ def _basis(r: Report, encode=str) -> Basis | None:
     return join
 
 
-def _csv(r: Report, basis: Basis | None) -> Iterable[str]:
-    """Pieces of the CSV form, header first, each line ending in its own
-    newline; a listing writes each degree's rows, joined by ``\\nd,``, as one
-    short list of pieces after the first row's prefix.
+def _csv(r: Report, basis: Basis | None) -> Iterator[str]:
+    """Pieces of the CSV form in write order, header first, each line ending
+    in its own newline; a listing writes each degree's rows, joined by
+    ``\\nd,``, as the pieces of ``basis`` after the first row's prefix.
 
     No field ever holds a comma, a double quote, a carriage return or a
     newline: fields are integers, fixed names, ``true``/``false``, monomial
@@ -100,117 +99,105 @@ def _csv(r: Report, basis: Basis | None) -> Iterable[str]:
     commas gives its bytes.
     """
     if r.verdicts is not None:
-        return ["check,passed\n"] + [f"{v.name},{str(v.passed).lower()}\n" for v in r.verdicts]
-    if r.witness is not None:
-        lines = [f"source_{i},{s}\n" for i, s in enumerate(_sources(r.witness), 1)]
-        return ["name,value\n", *lines, f"image,{r.witness.image}\n"]
-    if r.scalar_name is not None:
-        return ["name,value\n", f"{r.scalar_name},{r.series[0]}\n"]
-    if basis is not None:
-        rows = basis(lambda d: f"\n{d},")
-        return chain(["degree,monomial\n"], chain.from_iterable(
-            [f"{d},", *pieces, "\n"] for d, pieces in enumerate(rows) if pieces))
-    return ["degree,coefficient\n"] + [f"{d},{c}\n" for d, c in enumerate(r.series)]
+        yield "check,passed\n"
+        yield from (f"{v.name},{str(v.passed).lower()}\n" for v in r.verdicts)
+    elif r.witness is not None:
+        yield "name,value\n"
+        yield from (f"source_{i},{s}\n" for i, s in enumerate(_sources(r.witness), 1))
+        yield f"image,{r.witness.image}\n"
+    elif r.scalar_name is not None:
+        yield from ("name,value\n", f"{r.scalar_name},{r.series[0]}\n")
+    elif basis is not None:
+        yield "degree,monomial\n"
+        for d, pieces in enumerate(basis(lambda d: f"\n{d},")):
+            if pieces:
+                yield from (f"{d},", *pieces, "\n")
+    else:
+        yield "degree,coefficient\n"
+        yield from (f"{d},{c}\n" for d, c in enumerate(r.series))
 
 
-def _table(r: Report, basis: Basis | None) -> Iterable[str]:
-    """Pieces of the table form, split into lines and degrees as ``_csv``'s."""
+def _table(r: Report, basis: Basis | None) -> Iterator[str]:
+    """Pieces of the table form, in write order, split as ``_csv``'s."""
     if r.verdicts is not None:
-        return [
-            f"{'PASS' if v.passed else 'FAIL'}  {v.name}"
-            + (f"  ({v.detail})\n" if v.detail else "\n")
-            for v in r.verdicts
-        ]
-    if r.witness is not None:
-        lines = [f"source  {s}\n" for s in _sources(r.witness)]
-        return lines + [f"image   {r.witness.image}\n"]
-    if r.scalar_name is not None:
-        return [f"{r.series[0]}\n"]
-    if basis is not None:
-        rows = basis(lambda d: ", ")
-        return chain(["degree  monomials\n"], chain.from_iterable(
-            [f"{d:>6}  ", *(pieces or ["-"]), "\n"] for d, pieces in enumerate(rows)))
-    lines = ["degree  coefficient\n"]
-    lines += [f"{d:>6}  {c}\n" for d, c in enumerate(r.series)]
-    if r.homotopy is not None:
-        first = r.homotopy.first_positive_nonzero_degree
-        lines += [
-            "\n",
-            f"# gap_verified: {str(r.homotopy.gap_verified).lower()}\n",
-            f"# first_positive_nonzero_degree: {first if first is not None else '-'}\n",
-        ]
-    if r.cotangent is not None:
-        cotangent = ",".join(map(str, r.cotangent.coefficients))
-        lines += ["\n", f"# cotangent_series: {cotangent}\n"]
-    return lines
+        yield from (f"{'PASS' if v.passed else 'FAIL'}  {v.name}"
+                    + (f"  ({v.detail})\n" if v.detail else "\n") for v in r.verdicts)
+    elif r.witness is not None:
+        yield from (f"source  {s}\n" for s in _sources(r.witness))
+        yield f"image   {r.witness.image}\n"
+    elif r.scalar_name is not None:
+        yield f"{r.series[0]}\n"
+    elif basis is not None:
+        yield "degree  monomials\n"
+        for d, pieces in enumerate(basis(lambda d: ", ")):
+            yield from (f"{d:>6}  ", *(pieces or ["-"]), "\n")
+    else:
+        yield "degree  coefficient\n"
+        yield from (f"{d:>6}  {c}\n" for d, c in enumerate(r.series))
+        if r.homotopy is not None:
+            first = r.homotopy.first_positive_nonzero_degree
+            yield from (
+                "\n",
+                f"# gap_verified: {str(r.homotopy.gap_verified).lower()}\n",
+                f"# first_positive_nonzero_degree: {first if first is not None else '-'}\n",
+            )
+        if r.cotangent is not None:
+            cotangent = ",".join(map(str, r.cotangent.coefficients))
+            yield from ("\n", f"# cotangent_series: {cotangent}\n")
 
 
-def _json_basis(basis: Basis) -> Iterator[list[str]]:
-    """The basis array of ``_json_parts``, one object per degree 0..N, each a
-    short list of pieces: the degree's names, JSON-escaped, joined once
-    between their outer quotes, copied nowhere."""
-    for d, pieces in enumerate(basis(lambda d: '",\n        "')):
-        monomials = ['[\n        "', *pieces, '"\n      ]'] if pieces else ["[]"]
-        yield [("," if d else "[") + f'\n    {{\n      "degree": {d},\n      "monomials": ',
-               *monomials, "\n    }"]
-    yield ["\n  ]"]
+def _json_array(items: list[str], indent: str = "\n  ") -> list[str]:
+    """The pieces of an array of the escaped but unquoted strings ``items``,
+    one a line one level below ``indent``, joined once inside their quotes."""
+    if not items:
+        return ["[]"]
+    inner = indent + "  "
+    return ["[" + inner + '"', ('",' + inner + '"').join(items), '"' + indent + "]"]
 
 
-def _json_parts(r: Report, basis: Basis | None, encode) -> Iterable[str]:
+def _json_parts(r: Report, basis: Basis | None, encode) -> Iterator[str]:
     """The pieces, in write order, of the envelope as ``json.dumps(document,
     indent=2) + "\\n"`` writes it: prime, max_degree, kind, series, then basis
-    (``basis``, its names JSON-escaped; ``_json_basis``), witness and the
-    verify verdicts, assumptions, and last the homotopy verdicts or the
+    (``basis``, its names JSON-escaped, one object per degree), witness and
+    the verify verdicts, assumptions, and last the homotopy verdicts or the
     cotangent series.  ``encode`` is the C string encoder, which
     ``json.dumps`` with an indent would not use."""
-    parts = [f'{{\n  "prime": {r.prime},\n  "max_degree": {r.max_degree},\n  "kind": ',
-             encode(r.kind), ',\n  "series": ']
 
-    def array(items: list, indent: str = "\n  ", write=None) -> None:
-        """``items`` onto ``parts`` as an array, one a line one level below
-        ``indent``: strings, escaped but unquoted, in one piece, or objects
-        that ``write`` puts there piece by piece."""
-        inner = indent + "  "
-        if not items:
-            parts.append("[]")
-        elif write is None:
-            parts.extend(("[" + inner + '"', ('",' + inner + '"').join(items), '"' + indent + "]"))
-        else:
-            for i, item in enumerate(items):
-                parts.append(("," if i else "[") + inner)
-                write(item)
-            parts.append(indent + "]")
+    def verdicts(rows: list[tuple]) -> Iterator[str]:
+        yield ',\n  "verdicts": '
+        for i, (name, passed, detail) in enumerate(rows):
+            yield from (("," if i else "[") + '\n    {\n      "name": ', encode(name),
+                        ',\n      "passed": ', "true" if passed else "false",
+                        "" if detail is None else ',\n      "detail": ' + encode(detail), "\n    }")
+        yield "\n  ]" if rows else "[]"
 
-    def verdicts(rows: list[tuple]) -> None:
-        parts.append(',\n  "verdicts": ')
-        array([('{\n      "name": ', encode(name), ',\n      "passed": ',
-                "true" if passed else "false",
-                "" if detail is None else ',\n      "detail": ' + encode(detail), "\n    }")
-               for name, passed, detail in rows], write=parts.extend)
-
-    array(list(map(str, r.series)))
+    yield f'{{\n  "prime": {r.prime},\n  "max_degree": {r.max_degree},\n  "kind": '
+    yield from (encode(r.kind), ',\n  "series": ', *_json_array(list(map(str, r.series))))
     if basis is not None:
-        parts.append(',\n  "basis": ')
-        at = len(parts)  # where the basis array goes
+        yield ',\n  "basis": '
+        # Degree 0 always holds the empty monomial, so the array opens there.
+        for d, pieces in enumerate(basis(lambda d: '",\n        "')):
+            yield ("," if d else "[") + f'\n    {{\n      "degree": {d},\n      "monomials": '
+            yield from ('[\n        "', *pieces, '"\n      ]') if pieces else ("[]",)
+            yield "\n    }"
+        yield "\n  ]"
     if r.witness is not None:
-        parts.append(',\n  "witness": {\n    "sources": ')
-        array([encode(s)[1:-1] for s in _sources(r.witness)], "\n    ")
-        parts.extend((',\n    "image": ', encode(r.witness.image), "\n  }"))
+        yield ',\n  "witness": {\n    "sources": '
+        yield from _json_array([encode(s)[1:-1] for s in _sources(r.witness)], "\n    ")
+        yield from (',\n    "image": ', encode(r.witness.image), "\n  }")
     if r.verdicts is not None:
-        verdicts([(v.name, v.passed, v.detail) for v in r.verdicts])
-    parts.append(',\n  "assumptions": ')
-    array([encode(s)[1:-1] for s in r.assumptions])
+        yield from verdicts([(v.name, v.passed, v.detail) for v in r.verdicts])
+    yield ',\n  "assumptions": '
+    yield from _json_array([encode(s)[1:-1] for s in r.assumptions])
     if r.homotopy is not None:
         h = r.homotopy
-        verdicts([("gap", h.gap_verified, None), ("tensor_identity", h.tensor_identity, None),
-                  ("nonnegativity", h.nonnegative, None)])
+        yield from verdicts([("gap", h.gap_verified, None),
+                             ("tensor_identity", h.tensor_identity, None),
+                             ("nonnegativity", h.nonnegative, None)])
     if r.cotangent is not None:
-        parts.append(',\n  "cotangent_series": ')
-        array(list(map(str, r.cotangent.coefficients)))
-    parts.append("\n}\n")
-    if basis is None:
-        return parts
-    return chain(parts[:at], chain.from_iterable(_json_basis(basis)), parts[at:])
+        yield ',\n  "cotangent_series": '
+        yield from _json_array(list(map(str, r.cotangent.coefficients)))
+    yield "\n}\n"
 
 
 def render(report: Report, fmt: str) -> Iterable[str]:

@@ -186,16 +186,14 @@ def _word_series(p: int, gen_degrees: Sequence[int], max_degree: int) -> Truncat
     return multiply_over_generators(TruncatedSeries.one(max_degree), polynomial, exterior)
 
 
-def enumerate_generators(
-    p: int, gen_degree: int, max_degree: int, symbol: str = "a"
-) -> GeneratorSet:
+def enumerate_generators(p: int, gen_degree: int, max_degree: int) -> GeneratorSet:
     """Free-algebra generator set over one class of degree ``gen_degree``:
     one generator per word of ``generator_words``, labelled by the word
-    applied to ``symbol``, of the kind ``_kind`` gives its total degree;
+    applied to ``a``, of the kind ``_kind`` gives its total degree;
     ``GeneratorSet`` puts them in (degree, label) order.
     """
     gens = []
     for wdeg, w in _raw_words(p, gen_degree, max_degree):
         d = gen_degree + wdeg
-        gens.append(Generator(_render_word(p, w, symbol), d, _kind(p, d)))
+        gens.append(Generator(_render_word(p, w, "a"), d, _kind(p, d)))
     return GeneratorSet(tuple(gens))

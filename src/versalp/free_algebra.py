@@ -67,9 +67,6 @@ class GeneratorSet(Value):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def merged(self, other: "GeneratorSet") -> "GeneratorSet":
-        return GeneratorSet(self.entries + other.entries)
-
 
 class Monomial(Value):
     """Product of generator powers; factors in (degree, label) order.
@@ -149,9 +146,6 @@ class MonomialBasis(Value):
 
     def dimensions(self) -> list[int]:
         return [len(b) for b in self.names]
-
-    def dimension_series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.truncation_degree, tuple(self.dimensions()))
 
 
 def product_over_generators(gens: Iterable[Generator], truncation_degree: int) -> TruncatedSeries:

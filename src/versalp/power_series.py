@@ -85,8 +85,6 @@ class TruncatedSeries(Value):
             n, tuple(_kronecker(self.coefficients, other.coefficients, 0, n + 1))
         )
 
-    __mul__ = mul
-
     def div(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """The unique q with q.mul(den) == self, for den with constant term 1.
 
@@ -110,8 +108,6 @@ class TruncatedSeries(Value):
                     acc -= d[k] * q[m - k]
             q[m] = acc
         return TruncatedSeries(n, tuple(q))
-
-    __truediv__ = div
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], start: int, stop: int) -> list[int]:

@@ -11,6 +11,10 @@ standard library's ``csv`` writer from a report's fields.  Two quadratic algorit
 the package once used serve as references at degrees in the thousands,
 where the naive ones cannot go: dynamic programs that count generator words
 per degree, and a fold of generator counts factor by factor.
+
+``thh_generators`` alone calls the package: it builds the THH generator set
+from the package's own words, for the tests that recount THH by listing its
+monomials.
 """
 
 import csv
@@ -18,6 +22,9 @@ import io
 import itertools
 from math import comb
 from operator import add
+
+from versalp.dyer_lashof import enumerate_generators
+from versalp.free_algebra import Generator, GeneratorSet
 
 
 def trial_division_is_prime(n):
@@ -307,3 +314,11 @@ def csv_reference(report, basis=None):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def thh_generators(p, n):
+    """The generators of THH through degree ``n``: the words on the degree-1
+    class a, and the words on the degree-2 class relabelled over b."""
+    loops = [Generator(g.label[:-1] + "b", g.degree, g.kind)
+             for g in enumerate_generators(p, 2, n)]
+    return GeneratorSet(enumerate_generators(p, 1, n).entries + tuple(loops))

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from versalp.free_algebra import EXTERIOR, Monomial, enumerate_monomials, list_n
 from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import VerificationError
 
-from oracles import csv_reference
+from oracles import csv_reference, thh_generators
 
 
 def run(capsys, *argv):
@@ -821,8 +822,7 @@ def test_generator_labels_hold_no_csv_special_character():
     special = set(',"\r\n')
     labels = [g.label for p in (2, 3, 5, 7) for g in milnor_generator_degrees(p, 400)]
     for p, n in ((2, 40), (3, 80), (5, 160), (7, 240)):
-        labels += [g.label for g in enumerate_generators(p, 1, n)]
-        labels += [g.label for g in enumerate_generators(p, 2, n, symbol="b")]
+        labels += [g.label for g in thh_generators(p, n)]
     assert not [label for label in labels if special & set(label)]
 
 
@@ -902,3 +902,33 @@ def test_any_argv_exits_0_1_or_2(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# The sha256 of the exit status and stdout bytes of every subcommand at each
+# prime, degree and format of GRID_ARGVS, recorded once from a tree whose
+# output the snapshot tests held; any byte that any of them writes changes
+# it.  stderr is left out: the usage text argparse prints differs between
+# Python versions.
+GRID_DIGEST = "c82c0007e95f5d996b21f2efb3b3b6800e055fd3be721636cceb52503928f679"
+GRID_ARGVS = [
+    [command, "--prime", str(p), "--max-degree", str(n), "--format", fmt]
+    for command in cli.COMMANDS for p in (2, 3, 5, 7, 13)
+    for n in sorted({0, 1, 4 * (p - 1), 24}) for fmt in ("table", "json", "csv")
+]
+
+
+def test_every_subcommand_prime_degree_and_format_writes_the_recorded_bytes():
+    digest = hashlib.sha256()
+    for argv in GRID_ARGVS:
+        # A binary buffer under stdout, so the pieces go out as --output writes them.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # usage errors
+                code = exc.code
+        stdout.flush()
+        written = stdout.buffer.getvalue()
+        digest.update(f"{' '.join(argv)}\n{code}\n{len(written)}\n".encode() + written)
+    assert len(GRID_ARGVS) == 570
+    assert digest.hexdigest() == GRID_DIGEST

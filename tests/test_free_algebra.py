@@ -15,7 +15,7 @@ from versalp.free_algebra import (
 )
 from versalp.steenrod_dual import milnor_generator_degrees
 
-from oracles import brute_monomials, naive_series
+from oracles import brute_monomials, naive_series, thh_generators
 
 
 def poly(label, degree):
@@ -43,12 +43,6 @@ def test_generator_set_orders_by_degree_then_label():
 def test_generator_set_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         GeneratorSet((poly("x", 1), ext("x", 2)))
-
-
-def test_merged_sets_recanonicalize():
-    left = GeneratorSet((poly("x", 4),))
-    right = GeneratorSet((poly("y", 1),))
-    assert [g.label for g in left.merged(right)] == ["y", "x"]
 
 
 def test_series_of_p2_low_degrees():
@@ -128,12 +122,6 @@ def test_monomial_validation():
         enumerate_monomials(GeneratorSet((x, y)), -1)
 
 
-def test_dimension_series_round_trip():
-    gens = enumerate_generators(2, 1, 10)
-    basis = enumerate_monomials(gens, 10)
-    assert basis.dimension_series() == series_of(gens, 10)
-
-
 @st.composite
 def random_generator_set(draw):
     count = draw(st.integers(min_value=0, max_value=6))
@@ -186,7 +174,7 @@ def test_many_generators_need_no_recursion():
     (milnor_generator_degrees(3, 40), 40),
     (milnor_generator_degrees(5, 40), 40),
     # THH: labels with spaces over two symbols
-    (enumerate_generators(3, 1, 10).merged(enumerate_generators(3, 2, 10, symbol="b")), 10),
+    (thh_generators(3, 10), 10),
 ])
 def test_names_from_the_recurrence_equal_render(gens, n):
     basis = enumerate_monomials(gens, n)

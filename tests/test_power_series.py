@@ -69,13 +69,6 @@ def test_div_requires_unit_constant_term():
         f.div(series([1, 1], 2))
 
 
-def test_operator_sugar_matches_methods():
-    f = series([1, 2, 1], 2)
-    g = series([1, 1], 2)
-    assert f * g == f.mul(g)
-    assert f / g == f.div(g)
-
-
 def test_product_single_polynomial_generator_is_geometric():
     gens = GeneratorSet((Generator("x", 1, "polynomial"),))
     assert product_over_generators(gens, 5).coefficients == (1, 1, 1, 1, 1, 1)

@@ -27,7 +27,7 @@ from versalp.versal import (
     verification_battery,
 )
 
-from oracles import naive_mul
+from oracles import naive_mul, thh_generators
 
 
 def test_homology_series_examples():
@@ -145,10 +145,7 @@ def test_thh_series():
 
 
 def test_thh_matches_direct_tensor_enumeration():
-    merged = enumerate_generators(2, 1, 6).merged(
-        enumerate_generators(2, 2, 6, symbol="b")
-    )
-    dims = enumerate_monomials(merged, 6).dimensions()
+    dims = enumerate_monomials(thh_generators(2, 6), 6).dimensions()
     assert dims == list(thh_homology_series(2, 6).coefficients)
 
 
