@@ -17,12 +17,13 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import versal
-from .dyer_lashof import enumerate_generators
-# bench/tracing.py wraps enumerate_monomials under this module's name.
-from .free_algebra import GeneratorSet, enumerate_monomials, joined_names  # noqa: F401
+# bench/tracing.py wraps enumerate_generators and enumerate_monomials under
+# this module's names; no report here calls them.
+from .dyer_lashof import enumerate_generators, generator_rows  # noqa: F401
+from .free_algebra import enumerate_monomials, joined_names  # noqa: F401
 from .power_series import TruncatedSeries
 from .primes import PRIME_LIMIT, is_prime
-from .steenrod_dual import milnor_generator_degrees
+from .steenrod_dual import milnor_generator_rows
 from .value import Value
 
 
@@ -31,8 +32,8 @@ class Report(Value):
 
     Every report has the envelope fields and at most one of the optional
     parts, except collision, which has both a basis and a witness.  A listing
-    report holds the generators of its basis, which ``render`` lists in the
-    output's encoding.
+    report holds the generators of its basis as sorted (degree, label, kind)
+    rows, which ``render`` lists in the output's encoding.
     """
 
     __slots__ = ("kind", "prime", "max_degree", "series", "assumptions", "scalar_name",
@@ -46,7 +47,7 @@ class Report(Value):
         series: tuple[int, ...],
         assumptions: tuple[str, ...] = (),
         scalar_name: str | None = None,  # the single value's CSV name
-        generators: GeneratorSet | None = None,  # basis, steenrod, collision
+        generators: tuple[tuple[int, str, str], ...] | None = None,  # basis, steenrod, collision
         witness: versal.CollisionWitness | None = None,
         verdicts: tuple[versal.Verdict, ...] | None = None,  # verify
         homotopy: versal.HomotopyReport | None = None,
@@ -231,18 +232,20 @@ class ListingTooLarge(Exception):
 
 
 def _with_basis(kind: str, p: int, n: int, series: TruncatedSeries,
-                generators: Callable[[], GeneratorSet], **parts) -> Report:
+                generators: Callable[[], list[tuple[int, str, str]]], **parts) -> Report:
     """A listing report, whose basis ``render`` lists and checks against the
-    series.  Raises ListingTooLarge, before building the generators, when
-    the series predicts more than MAX_LISTED_MONOMIALS monomials; each
-    generator is a monomial, so ``generators()`` then builds no more."""
+    series.  ``generators()`` gives the basis's generators as the sorted
+    (degree, label, kind) rows ``free_algebra.joined_names`` takes, so no
+    ``Generator`` is built.  Raises ListingTooLarge, before building the
+    rows, when the series predicts more than MAX_LISTED_MONOMIALS monomials;
+    each generator is a monomial, so ``generators()`` then builds no more."""
     predicted = sum(series.coefficients)
     if predicted > MAX_LISTED_MONOMIALS:
         raise ListingTooLarge(
             f"{kind} through degree {n} would list {predicted} monomials,"
             f" more than the limit of {MAX_LISTED_MONOMIALS}"
         )
-    return Report(kind, p, n, series.coefficients, generators=generators(), **parts)
+    return Report(kind, p, n, series.coefficients, generators=tuple(generators()), **parts)
 
 
 def _homotopy(p: int, n: int) -> Report:
@@ -272,11 +275,11 @@ COMMANDS = {
     "homotopy": _homotopy,
     "basis": lambda p, n: _with_basis(
         "basis", p, n, versal.homology_series(p, n),
-        lambda: enumerate_generators(p, 1, n),
+        lambda: generator_rows(p, 1, n),
     ),
     "steenrod": lambda p, n: _with_basis(
         "steenrod", p, n, versal.steenrod_series(p, n),
-        lambda: milnor_generator_degrees(p, n),
+        lambda: milnor_generator_rows(p, n),
     ),
     "thh": lambda p, n: Report(
         "thh", p, n, versal.thh_homology_series(p, n).coefficients
@@ -295,7 +298,7 @@ COMMANDS = {
     ),
     "collision": lambda p, n: _with_basis(
         "collision", 2, 4, versal.homology_series(2, 4),
-        lambda: enumerate_generators(2, 1, 4),
+        lambda: generator_rows(2, 1, 4),
         witness=versal.structure_map_collision(),
     ),
     "verify": _verify,

@@ -186,14 +186,25 @@ def _word_series(p: int, gen_degrees: Sequence[int], max_degree: int) -> Truncat
     return multiply_over_generators(TruncatedSeries.one(max_degree), polynomial, exterior)
 
 
-def enumerate_generators(p: int, gen_degree: int, max_degree: int) -> GeneratorSet:
-    """Free-algebra generator set over one class of degree ``gen_degree``:
-    one generator per word of ``generator_words``, labelled by the word
-    applied to ``a``, of the kind ``_kind`` gives its total degree;
-    ``GeneratorSet`` puts them in (degree, label) order.
+def generator_rows(p: int, gen_degree: int, max_degree: int) -> list[tuple[int, str, str]]:
+    """The generators over one class of degree ``gen_degree`` as sorted
+    (degree, label, kind) rows: one per word of ``generator_words``, labelled
+    by the word applied to ``a``, of the kind ``_kind`` gives its total
+    degree.  Labels are distinct, so this is the (degree, label) order.
+
+    >>> generator_rows(2, 1, 4)
+    [(1, 'a', 'polynomial'), (3, 'Q^2 a', 'polynomial'), (4, 'Q^3 a', 'polynomial')]
     """
-    gens = []
+    rows = []
     for wdeg, w in _raw_words(p, gen_degree, max_degree):
         d = gen_degree + wdeg
-        gens.append(Generator(_render_word(p, w, "a"), d, _kind(p, d)))
-    return GeneratorSet(tuple(gens))
+        rows.append((d, _render_word(p, w, "a"), _kind(p, d)))
+    rows.sort()
+    return rows
+
+
+def enumerate_generators(p: int, gen_degree: int, max_degree: int) -> GeneratorSet:
+    """Free-algebra generator set over one class of degree ``gen_degree``:
+    one ``Generator`` per row of ``generator_rows``."""
+    rows = generator_rows(p, gen_degree, max_degree)
+    return GeneratorSet(Generator(label, d, kind) for d, label, kind in rows)

@@ -106,19 +106,19 @@ class Monomial(Value):
     def render(self) -> str:
         if not self.factors:
             return "1"
-        return "·".join(_piece(g, e) for g, e in self.factors)
+        return "·".join(_piece(g.label, e) for g, e in self.factors)
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _piece(g: Generator, e: int) -> str:
-    """How ``g`` to the power ``e`` renders inside a monomial."""
+def _piece(label: str, e: int) -> str:
+    """How the generator ``label`` to the power ``e`` renders inside a monomial."""
     if e == 1:
-        return g.label
-    if " " in g.label:
-        return f"({g.label})^{e}"
-    return f"{g.label}^{e}"
+        return label
+    if " " in label:
+        return f"({label})^{e}"
+    return f"{label}^{e}"
 
 
 class MonomialBasis(Value):
@@ -138,7 +138,8 @@ class MonomialBasis(Value):
 
     @property
     def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
-        listing = _listing(self.generators.entries, self.truncation_degree, (), _factor, ())
+        rows = [(g.degree, g, g.kind) for g in self.generators]
+        listing = _listing(rows, self.truncation_degree, (), _factor, ())
         return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
@@ -165,29 +166,36 @@ def _factor(g: Generator, e: int) -> tuple[tuple[Generator, int], ...]:
     return ((g, e),)
 
 
-def _listing(gens: Sequence[Generator], n: int, unit, power, joiner) -> list[list]:
-    """The basis in degrees 0..n, one element per monomial: ``unit`` for the
-    empty monomial, ``power(g, e)`` for g^e alone, and ``power(g, e) + joiner
-    + rest`` for g^e times a monomial ``rest`` in later generators.  Strings
-    (names) and factor tuples both fit.  ``power`` and the join with
+def _listing(rows: Sequence[tuple], n: int, unit, power, joiner) -> list[list]:
+    """The basis in degrees 0..n of the free algebra on ``rows``, (degree,
+    generator, kind) triples in canonical (degree, label) order, one element
+    per monomial: ``unit`` for the empty monomial, ``power(g, e)`` for g^e
+    alone, and ``power(g, e) + joiner + rest`` for g^e times a monomial
+    ``rest`` in later generators.  Strings (names, g a label) and factor
+    tuples (g a ``Generator``) both fit.  ``power`` and the join with
     ``joiner`` run once per (generator, exponent), never per monomial.
 
-    The fold of series_of over lists: after folding the generators from
-    position i on, buckets[t] holds their products of degree t.  Prepending
-    the next generator, highest exponent first, keeps each bucket in
-    descending lexicographic order of exponent vectors.
+    The fold of series_of over lists, from the highest generator down: after
+    folding the rows from position i on, buckets[t] holds their products of
+    degree t.  Prepending the next generator, highest exponent first, keeps
+    each bucket in descending lexicographic order of exponent vectors.  Every
+    nonempty bucket is degree 0 or at least ``low``, the lowest degree folded
+    so far, so below d + low a generator of degree d adds only its pure
+    powers, one insert each; a generator above n adds nothing.
     """
     if n < 0:
         raise ValueError(f"truncation degree must be >= 0, got {n}")
     buckets: list[list] = [[unit]] + [[] for _ in range(n)]
-    for g in reversed(gens):
-        d = g.degree
-        exterior = g.kind == EXTERIOR
+    low = n + 1
+    for d, g, kind in reversed(rows):
+        if d > n:
+            continue
+        exterior = kind == EXTERIOR
         top = 1 if exterior else n // d
         # One element per exponent, shared by every monomial that has it.
         powers = [power(g, e) for e in range(1, top + 1)]
         prepends = [(x + joiner).__add__ for x in powers]
-        for t in range(n, d - 1, -1):
+        for t in range(n, d + low - 1, -1):
             # t <= n, so t // d never exceeds top for a polynomial generator.
             hi = 1 if exterior else t // d
             new: list = []
@@ -201,26 +209,32 @@ def _listing(gens: Sequence[Generator], n: int, unit, power, joiner) -> list[lis
                     new += map(prepends[e - 1], rest)
             if new:
                 buckets[t] = new + buckets[t]
+        for e in range(1, min(top, (d + low - 1) // d) + 1):
+            buckets[e * d].insert(0, powers[e - 1])
+        low = d
     return buckets
 
 
-def list_names(gens: GeneratorSet, truncation_degree: int, encode=str) -> list[list[str]]:
-    """The names of ``enumerate_monomials(gens, truncation_degree)``, bucket
-    by bucket in the same order, each in the string encoding ``encode``.
+def list_names(rows: Sequence[tuple[int, str, str]], truncation_degree: int,
+               encode=str) -> list[list[str]]:
+    """The names of the basis in degrees 0..N of the free algebra on
+    ``rows``, (degree, label, kind) triples in canonical order as
+    ``dyer_lashof.generator_rows`` gives them, bucket by bucket in the order
+    of ``enumerate_monomials``, each in the string encoding ``encode``.
 
     ``encode`` must carry concatenation over (``encode(x + y) == encode(x) +
     encode(y)``), as an escape applied character by character does: it runs
     only on the unit, the ``·`` joiner and each (generator, exponent) piece,
     and every name is a concatenation of those.
     """
-    return _listing(gens.entries, truncation_degree, encode("1"),
-                    lambda g, e: encode(_piece(g, e)), encode("·"))
+    return _listing(rows, truncation_degree, encode("1"),
+                    lambda label, e: encode(_piece(label, e)), encode("·"))
 
 
 def joined_names(
-    gens: GeneratorSet, truncation_degree: int, encode=str
+    rows: Sequence[tuple[int, str, str]], truncation_degree: int, encode=str
 ) -> tuple[list[int], Callable[[Callable[[int], str]], Iterator[list[str]]]]:
-    """``(counts, join)`` for the names ``names = list_names(gens,
+    """``(counts, join)`` for the names ``names = list_names(rows,
     truncation_degree, encode)`` without building most of them: counts[d] is
     ``len(names[d])``, and ``join(sep)`` yields, degree by degree, a list of
     pieces that concatenate to ``sep(d).join(names[d])``.
@@ -235,21 +249,22 @@ def joined_names(
     """
     n = truncation_degree
     unit, joiner = encode("1"), encode("·")
-    buckets = _listing(gens.entries[1:], n, unit, lambda g, e: encode(_piece(g, e)), joiner)
+    buckets = _listing(rows[1:], n, unit, lambda label, e: encode(_piece(label, e)), joiner)
     runs: list[list[tuple[str, list[str]]]] = [[] for _ in range(n + 1)]
-    for g in gens.entries[:1]:  # the lowest generator, if there is one
-        d = g.degree
-        top = min(1, n // d) if g.kind == EXTERIOR else n // d
-        powers = [encode(_piece(g, e)) for e in range(1, top + 1)]
-        for t in range(d, n + 1):
-            for e in range(min(t // d, top), 0, -1):
-                if e * d == t:
-                    runs[t].append((powers[e - 1], [""]))
-                elif buckets[t - e * d]:
-                    runs[t].append((powers[e - 1] + joiner, buckets[t - e * d]))
-    for t, bucket in enumerate(buckets):
-        if bucket:
-            runs[t].append(("", bucket))
+    filled = [s for s in range(1, n + 1) if buckets[s]]
+    for d, label, kind in rows[:1]:  # the lowest generator, if there is one
+        top = min(1, n // d) if kind == EXTERIOR else n // d
+        # Highest exponent first, so each degree's runs keep the listing order.
+        for e in range(top, 0, -1):
+            power = encode(_piece(label, e))
+            runs[e * d].append((power, [""]))
+            head = power + joiner
+            for s in filled:
+                if s > n - e * d:
+                    break
+                runs[s + e * d].append((head, buckets[s]))
+    for t in (0, *filled):
+        runs[t].append(("", buckets[t]))
 
     def join(sep: Callable[[int], str]) -> Iterator[list[str]]:
         for t, row in enumerate(runs):
@@ -270,5 +285,6 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
     powers of the lowest generator come first.  Only the names are built
     here; the ``Monomial``s wait for a read of ``buckets``.
     """
-    names = list_names(gens, truncation_degree)
+    rows = [(g.degree, g.label, g.kind) for g in gens]
+    names = list_names(rows, truncation_degree)
     return MonomialBasis(gens, truncation_degree, tuple(map(tuple, names)))

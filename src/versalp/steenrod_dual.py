@@ -27,10 +27,21 @@ def milnor_degrees(p: int, max_degree: int) -> tuple[list[int], list[int]]:
     return list(takewhile(max_degree.__ge__, xi)), list(takewhile(max_degree.__ge__, tau))
 
 
-def milnor_generator_degrees(p: int, max_degree: int) -> GeneratorSet:
-    """``milnor_degrees`` labelled xi_1, xi_2, ... and tau_0, tau_1, ...
-    for the ``steenrod`` listing.  The degrees are distinct (at odd p the xi
-    ones even, the tau ones odd), so the set's order is the degree order."""
+def milnor_generator_rows(p: int, max_degree: int) -> list[tuple[int, str, str]]:
+    """``milnor_degrees`` as sorted (degree, label, kind) rows, labelled
+    xi_1, xi_2, ... and tau_0, tau_1, ... for the ``steenrod`` listing.  The
+    degrees are distinct (at odd p the xi ones even, the tau ones odd), so
+    the order is the degree order.
+
+    >>> milnor_generator_rows(3, 5)
+    [(1, 'tau_0', 'exterior'), (4, 'xi_1', 'polynomial'), (5, 'tau_1', 'exterior')]
+    """
     xi, tau = milnor_degrees(p, max_degree)
-    return GeneratorSet([Generator(f"xi_{i}", d, POLYNOMIAL) for i, d in enumerate(xi, 1)]
-                        + [Generator(f"tau_{i}", d, EXTERIOR) for i, d in enumerate(tau)])
+    return sorted([(d, f"xi_{i}", POLYNOMIAL) for i, d in enumerate(xi, 1)]
+                  + [(d, f"tau_{i}", EXTERIOR) for i, d in enumerate(tau)])
+
+
+def milnor_generator_degrees(p: int, max_degree: int) -> GeneratorSet:
+    """``milnor_generator_rows`` as a ``GeneratorSet``."""
+    rows = milnor_generator_rows(p, max_degree)
+    return GeneratorSet(Generator(label, d, kind) for d, label, kind in rows)

@@ -786,8 +786,9 @@ def test_listing_over_the_size_limit_builds_no_generator(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("built generators for a listing over the limit")
 
-    monkeypatch.setattr(cli, "enumerate_generators", never)
-    monkeypatch.setattr(cli, "milnor_generator_degrees", never)
+    # The row builders the listings call, and the name bench/tracing.py wraps.
+    for name in ("generator_rows", "milnor_generator_rows", "enumerate_generators"):
+        monkeypatch.setattr(cli, name, never)
     for argv in (["basis", "--prime", "2", "--max-degree", "4000"],
                  ["steenrod", "--prime", "2", "--max-degree", "400"]):
         code, out, err = run(capsys, *argv)
@@ -932,3 +933,30 @@ def test_every_subcommand_prime_degree_and_format_writes_the_recorded_bytes():
         digest.update(f"{' '.join(argv)}\n{code}\n{len(written)}\n".encode() + written)
     assert len(GRID_ARGVS) == 570
     assert digest.hexdigest() == GRID_DIGEST
+
+
+# The sha256 of the exit status and stdout bytes of the basis listings the
+# benchmark's basis-render draws from and beyond, at five primes, and of the
+# steenrod listing at p = 3 and 13 below the listing limit, in every format,
+# recorded once from a tree whose output the snapshot tests held.  Here most
+# generators lie above half the degree, and at odd p the lowest is exterior.
+LISTING_DIGEST = "a2f597712b97c605f710f1a261459bc62f30e2a19e8f99c171ef6b83e0a8a248"
+LISTING_ARGVS = [
+    [command, "--prime", str(p), "--max-degree", str(n), "--format", fmt]
+    for command, p, n in (("basis", 2, 27), ("basis", 3, 58), ("basis", 5, 120),
+                          ("basis", 7, 200), ("basis", 13, 300),
+                          ("steenrod", 3, 400), ("steenrod", 13, 4000))
+    for fmt in ("table", "json", "csv")
+]
+
+
+def test_large_listings_write_the_recorded_bytes():
+    digest = hashlib.sha256()
+    for argv in LISTING_ARGVS:
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        stdout.flush()
+        written = stdout.buffer.getvalue()
+        digest.update(f"{' '.join(argv)}\n{code}\n{len(written)}\n".encode() + written)
+    assert digest.hexdigest() == LISTING_DIGEST

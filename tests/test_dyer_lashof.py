@@ -1,6 +1,11 @@
 import pytest
 
-from versalp.dyer_lashof import _render_word, enumerate_generators, generator_words
+from versalp.dyer_lashof import (
+    _render_word,
+    enumerate_generators,
+    generator_rows,
+    generator_words,
+)
 
 from oracles import (
     brute_words_odd,
@@ -123,6 +128,23 @@ def test_generators_equal_the_word_path(p, gen_degree, symbol):
         # differs in the last character alone.
         gens = enumerate_generators(p, gen_degree, n)
         assert [(g.label[:-1] + symbol, g.degree, g.kind) for g in gens] == expected, n
+
+
+# Through the basis-render degrees (p = 2 to 27, p = 3 to 58) and the byte
+# pin's, and beyond them.
+@pytest.mark.parametrize("p, degrees", [
+    (2, (0, 1, 4, 27, 60)),
+    (3, (0, 8, 58, 120)),
+    (5, (0, 16, 120, 240)),
+    (7, (0, 24, 200, 400)),
+    (13, (0, 48, 300, 600)),
+])
+def test_generator_rows_are_the_generator_set_in_order(p, degrees):
+    # The listings read the rows; the library reads the Generators.
+    for n in degrees:
+        rows = generator_rows(p, 1, n)
+        assert rows == [(g.degree, g.label, g.kind) for g in enumerate_generators(p, 1, n)], n
+        assert rows == sorted(rows) and len({label for _, label, _ in rows}) == len(rows)
 
 
 def test_degenerate_and_invalid_arguments():

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from versalp.dyer_lashof import enumerate_generators
 from versalp.free_algebra import (
     Generator,
+    _listing,
     GeneratorSet,
     Monomial,
     enumerate_monomials,
@@ -16,6 +17,11 @@ from versalp.free_algebra import (
 from versalp.steenrod_dual import milnor_generator_degrees
 
 from oracles import brute_monomials, naive_series, thh_generators
+
+
+def rows_of(gens):
+    """``gens`` as the (degree, label, kind) rows the name listings take."""
+    return [(g.degree, g.label, g.kind) for g in gens]
 
 
 def poly(label, degree):
@@ -163,6 +169,33 @@ def test_buckets_equal_brute_force_listing_in_order(case):
     assert listed == brute_monomials([(g.degree, g.kind) for g in gens], n)
 
 
+@st.composite
+def listing_rows(draw):
+    """(degree, label, kind) rows in canonical order and a truncation N <= 9:
+    degrees up to 12, so some lie above N, few enough that they repeat, and
+    either kind at any place, the lowest included."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    degrees = draw(st.lists(st.integers(min_value=1, max_value=12), max_size=6))
+    kinds = st.sampled_from(["polynomial", "exterior"])
+    return sorted((d, f"g{i}", draw(kinds)) for i, d in enumerate(degrees)), n
+
+
+@given(listing_rows())
+@example(([(1, "e", "exterior"), (1, "x", "polynomial"), (2, "y", "polynomial")], 8))
+@example(([(1, "e", "exterior"), (2, "x", "polynomial"), (11, "z", "exterior")], 9))
+@example(([(2, "x", "polynomial"), (3, "y", "polynomial"), (12, "z", "polynomial")], 9))
+@example(([(1, "x", "polynomial"), (2, "y", "exterior")], 0))
+def test_pruned_listing_equals_brute_force_listing(case):
+    # _listing visits a generator of degree d at degrees d + low..N only,
+    # low the lowest degree folded so far, and puts its pure powers below
+    # that in one insert each; a generator above N adds nothing.
+    rows, n = case
+    listing = _listing(rows, n, (), lambda label, e: ((label, e),), ())
+    vectors = [[tuple(dict(m).get(label, 0) for _, label, _ in rows) for m in bucket]
+               for bucket in listing]
+    assert vectors == brute_monomials([(d, kind) for d, _, kind in rows], n)
+
+
 def test_many_generators_need_no_recursion():
     gens = GeneratorSet(tuple(ext(f"e{i}", 1) for i in range(1500)))
     assert enumerate_monomials(gens, 1).dimensions() == [1, 1500]
@@ -217,8 +250,8 @@ def test_names_listed_in_an_escape_equal_the_names_escaped(case):
             return encode(s)[1:-1]
 
         expected = [[escape(name) for name in bucket] for bucket in canonical]
-        assert list_names(gens, n, escape) == expected
-    assert list_names(gens, n) == [list(bucket) for bucket in canonical]
+        assert list_names(rows_of(gens), n, escape) == expected
+    assert list_names(rows_of(gens), n) == [list(bucket) for bucket in canonical]
 
 
 def escape_json(s):
@@ -245,8 +278,8 @@ SEPARATORS = st.one_of(
 @example((GeneratorSet((poly("a", 2), poly("b", 3))), 8), lambda d: f"\n{d},", str)
 def test_joined_names_join_the_listed_names(case, sep, encode):
     gens, n = case
-    names = list_names(gens, n, encode)
-    counts, join = joined_names(gens, n, encode)
+    names = list_names(rows_of(gens), n, encode)
+    counts, join = joined_names(rows_of(gens), n, encode)
     assert counts == [len(bucket) for bucket in names]
     degrees = list(join(sep))
     assert ["".join(pieces) for pieces in degrees] == [

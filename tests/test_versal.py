@@ -405,8 +405,9 @@ def test_tensor_identity_fails_under_mutants_of_the_forward_kernel(
     assert "FAIL  tensor_identity" in capsys.readouterr().out
 
 
-# The series come from degree counts and degree lists; only listings label
-# generators. At odd p verify lists nothing: its recounts read word degrees.
+# The series come from degree counts and degree lists, and the basis and
+# steenrod listings from (degree, label, kind) rows, so none of them builds
+# a Generator. At odd p verify lists nothing: its recounts read word degrees.
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_series_reports_build_no_generator(monkeypatch, capsys, p):
     def refuse(self, *fields):
@@ -419,3 +420,7 @@ def test_series_reports_build_no_generator(monkeypatch, capsys, p):
     assert steenrod_series(p, 60).coefficient(0) == 1
     for command in ("homology", "homotopy", "thh") + (("verify",) if p != 2 else ()):
         assert cli.main([command, "--prime", str(p), "--max-degree", "60"]) == 0
+    for command in ("basis", "steenrod"):
+        for fmt in ("table", "json", "csv"):
+            argv = [command, "--prime", str(p), "--max-degree", "24", "--format", fmt]
+            assert cli.main(argv) == 0, argv
