@@ -389,22 +389,33 @@ def _sparse_product(
     return _unpack(total, bits // 8, n + 1)
 
 
-# Spans this short are solved term by term; above it the Kronecker product
-# of the halves is cheaper than the quadratic sums it replaces.
+# Spans this short are solved term by term in one list, each term one dot
+# product of the list, newest first, with c_1, c_2, ...; above it the
+# Kronecker product of the halves is cheaper than the quadratic sums it
+# replaces.
 _LEAF = 64
 
 
 def _solve(a: list[int], acc: list[int], c: list[int], lo: int, hi: int) -> None:
     """Fill a[lo:hi] from n a_n = sum_k c_k a_{n-k}, given a[:lo] and, in
-    acc[lo:hi], the part of each sum over the terms a_j with j < lo."""
+    acc[lo:hi], the part of each sum over the terms a_j with j < lo.
+
+    A span of at most ``_LEAF`` terms is a leaf: it keeps the terms it has
+    solved in one list, seeded with a_0 when lo = 0, and dots the list's
+    reversal against c[1:hi - lo], sliced once per leaf, so no degree
+    slices ``a`` or ``c``."""
     if hi - lo <= _LEAF:
-        for m in range(max(lo, 1), hi):
-            total = acc[m] + sum(map(mul, a[lo:m], c[m - lo:0:-1]))
-            a[m], rest = divmod(total, m)
+        start = max(lo, 1)
+        leaf, tail = a[lo:start], c[1:hi - lo]
+        for m in range(start, hi):
+            total = acc[m] + sum(map(mul, reversed(leaf), tail))
+            term, rest = divmod(total, m)
             if rest:
                 raise VerificationError(
                     f"Euler transform: {total} in degree {m} is not divisible by {m}"
                 )
+            leaf.append(term)
+        a[lo:hi] = leaf
         return
     mid = (lo + hi) // 2
     _solve(a, acc, c, lo, mid)

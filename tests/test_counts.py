@@ -1,9 +1,10 @@
 """Series from generator counts: the closed-form counts against word
 enumeration and the counting dynamic program; both paths of the fold, the
 Euler transform and the packed product of factors grouped by shift, against
-naive factor products, the oracle's factor fold and each other, the rule that
-picks between them, and the packed product's headroom rule; and the homotopy
-quotient far above the enumeration oracles' degree caps."""
+naive factor products, the oracle's factor fold and each other (across every
+leaf boundary of the Euler transform, whose products are counted too), the
+rule that picks between them, and the packed product's headroom rule; and the
+homotopy quotient far above the enumeration oracles' degree caps."""
 
 from math import comb
 
@@ -115,6 +116,31 @@ def test_factor_path_equals_the_euler_path(p, n):
     assert fold(triples, n, _fold_factors) == fold(triples, n, _fold_euler)
 
 
+# From N = 0 to 130 the Euler path crosses every leaf boundary: one leaf from
+# lo = 0, seeded with a_0, of each length from 1 to 64, then two and four
+# leaves, those from lo > 0 of 32 to 64 terms.  At p = 3 the exterior
+# generators make c signed.
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_euler_path_equals_the_factor_path_across_leaf_boundaries(p):
+    for n in range(131):
+        triples = _profile(p, n)
+        assert fold(triples, n, _fold_euler) == fold(triples, n, _fold_factors), n
+
+
+def test_the_euler_fold_at_degree_2000_makes_at_least_31_products(monkeypatch):
+    # Leaves of at most 64 terms split degrees 0..2000 into 32 leaves, joined
+    # by 31 products; a fold solved term by term makes none.
+    kronecker, products = power_series._kronecker, []
+
+    def counted(a, b, start, stop):
+        products.append(len(a))
+        return kronecker(a, b, start, stop)
+
+    monkeypatch.setattr(power_series, "_kronecker", counted)
+    generator_series(2, (1,), 2000)
+    assert len(products) >= 31, products
+
+
 def kernel_taken(monkeypatch, fold_arrays):
     """The names of the fold kernels that ``fold_arrays()`` calls, and its result."""
     taken = []
@@ -128,8 +154,9 @@ def kernel_taken(monkeypatch, fold_arrays):
 
 # Points from the benchmark's degree ranges and beyond, on both sides of the
 # rule.  (2, 100) and (7, 4000) take the factor path because it is the faster
-# one there: 0.14 against 0.16 ms and 29 against 33 ms per fold; (2, 130),
-# 0.24 against 0.23 ms, does not.
+# one there: 0.18 against 0.19 ms and 39 against 43 ms per fold; (2, 130),
+# 0.33 against 0.28 ms, does not (best of 40 and of 8 runs on a 2-core
+# x86-64 machine).
 @pytest.mark.parametrize("p,n,path", [
     (2, 27, "factors"), (2, 46, "factors"), (2, 100, "factors"), (3, 58, "factors"),
     (3, 200, "factors"), (3, 340, "factors"), (3, 500, "factors"), (5, 500, "factors"),
