@@ -238,10 +238,12 @@ def quotient_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
 # ``_fold_factors`` runs while the polynomial generators' factors
 # 1 + t^(d 2^j) with d 2^j <= N/2 number at most this many per bit of N.  On
 # the homology folds (2-core x86-64, Python 3.11) the two paths cost the same
-# at about 700 such factors for p = 2 (N = 127), 690 for p = 3 (N = 560) and
-# 930 for p = 5 (N = 2,050), 69 to 100 per bit; at p = 7, N = 4,000 (914
-# factors, 76 per bit) the factor path is the faster by 13%.
-_DOUBLINGS_PER_BIT = 88
+# at about 1,800 such factors for p = 2 (N = 185), 1,640 for p = 3 (N = 830)
+# and 2,460 for p = 5 (N = 3,400), 164 to 226 per bit; at 150 the factor
+# path is the faster at every prime, by 5 to 10% at the switch (p = 2 up to
+# N = 157, p = 3 up to 799, p = 5 up to 2,911), and p = 7 at N = 4,000 (914
+# factors, 76 per bit) takes it, 2.1 times as fast.
+_DOUBLINGS_PER_BIT = 150
 
 
 def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
@@ -254,10 +256,14 @@ def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     ones (1 + t^d)^b.  While the polynomial ones' doublings, the factors
     1 + t^(d 2^j) of 1/(1 - t^d) with d 2^j <= N/2, number at most
     ``_DOUBLINGS_PER_BIT`` per bit of N, counted by one slice sum per
-    doubling, all factors are multiplied out grouped by shift
-    (``_fold_factors``), which divides nothing and is exact by its guard
-    test; otherwise the product is an Euler transform (``_fold_euler``), and
-    the remainder check is that path's alone.
+    doubling, all factors are multiplied out (``_fold_factors``): the band
+    above N/3 in closed form as the starting value, exact because any three
+    of its factors' shifts add up past N, then the rest grouped by shift.
+    That path divides nothing; its slot width is fixed before the closed
+    form from max e_s sum e_s over the band, e_s its factors 1 + t^s, which
+    bounds every slot of the band's square, and widened only by its guard
+    test.  Otherwise the product is an Euler transform (``_fold_euler``),
+    and the remainder check is that path's alone.
 
     >>> _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0]).coefficients
     (1, 2, 4, 6, 8)
@@ -300,23 +306,35 @@ def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries
     generator of degree s and one per polynomial generator of degree d with
     s = d 2^j, as 1/(1 - t^d) = prod_j (1 + t^(d 2^j)).
 
-    Each s <= N/2, ascending, is one group: e_s masked shift-adds of x, or,
-    when e_s > N // s, the Horner sum of C(e_s, i) x t^(is) over i <= N // s.
-    A group multiplies every slot by at most 2^g, with g = e_s for
-    shift-adds and g = bits(sum_i C(e_s, i) - 1) for the sum, so one guard
-    test before it asks that the top g + 1 bits of every slot be clear, and
-    if any is set every slot widens by ceil(g / 8) bytes.  No group lowers a
-    slot, so each is exact and leaves every slot below 2^(8w - 1).  Above
-    N/2 the factors multiply to 1 + sum e_s t^s, one product in slots of
-    bits(max slot) + bits(1 + sum e_s), which bound every result."""
+    The band N/3 < s <= N is x's starting value.  Its factors multiply to
+    1 + e_1 + e_2 + ..., e_k the k-th elementary symmetric function of the
+    multiset of t^s, and every e_k with k >= 3 has degree above N; by
+    Newton's identity e_1 = A and e_2 = (A^2 - A_2)/2, with A = sum e_s t^s
+    and A_2 = sum e_s t^(2s), so x starts as 1 + A + (A^2 - A_2)/2 through
+    degree N, one squaring.  A slot of A^2 is at most max e_s sum e_s, and
+    so is every slot of x; w leaves one bit above that clear.  Every slot of
+    A^2 - A_2 is even and nonnegative, so one shift halves them all.
+
+    Each s <= N/3, ascending, is then one group: e_s masked shift-adds of x,
+    or, when e_s > N // s, the Horner sum of C(e_s, i) x t^(is) over
+    i <= N // s.  A group multiplies every slot by at most 2^g, with g = e_s
+    for shift-adds and g = bits(sum_i C(e_s, i) - 1) for the sum, so one
+    guard test before it asks that the top g + 1 bits of every slot be
+    clear, and if any is set every slot widens by ceil(g / 8) bytes.  No
+    group lowers a slot, so each is exact and leaves every slot below
+    2^(8w - 1)."""
     n = len(polynomial) - 1
-    h = n // 2
+    third = n // 3
     e = list(exterior)
     for j in range(n.bit_length()):
         e[::1 << j] = map(add, e[::1 << j], polynomial)
-    w, x, guards = 2, 1, {}
+    band = e[third + 1:]
+    w = max(2, ((max(band, default=0) * sum(band)).bit_length() + 8) // 8)
     full = (1 << 8 * w * (n + 1)) - 1
-    for s in range(1, h + 1):
+    a = _pack(band, w) << 8 * w * (third + 1)
+    square = ((a * a) & full) - (_pack(e[third + 1:n // 2 + 1], 2 * w) << 16 * w * (third + 1))
+    x, guards = 1 + a + (square >> 1), {}
+    for s in range(1, third + 1):
         k = e[s]
         if not k:
             continue
@@ -339,12 +357,7 @@ def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries
         else:
             for _ in range(k):
                 x += (x << shift) & full
-    coeffs = _unpack(x, w, n + 1)
-    high = e[h + 1:]
-    wide = max(w, (max(coeffs).bit_length() + (1 + sum(high)).bit_length() + 7) // 8)
-    low = int.from_bytes(_padded(x, w, n - h, wide), "little")
-    coeffs[h + 1:] = map(add, coeffs[h + 1:], _unpack(low * _pack(high, wide), wide, n - h))
-    return TruncatedSeries(n, coeffs)
+    return TruncatedSeries(n, _unpack(x, w, n + 1))
 
 
 def _sparse_product(

@@ -18,7 +18,9 @@ from versalp.power_series import (
 )
 from versalp.versal import homology_series, homotopy_report, homotopy_series, steenrod_series
 
-from oracles import dp_degree_counts, factor_fold, naive_series, word_degree
+from oracles import (
+    dp_degree_counts, factor_fold, milnor_degrees_by_membership, naive_series, word_degree,
+)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -35,6 +37,15 @@ def test_counts_are_the_degree_histogram_of_the_words(p, gen_degree):
 @pytest.mark.parametrize("gen_degree", [1, 2, 3])
 def test_counts_equal_the_dynamic_program_at_degree_1000(p, gen_degree):
     assert generator_degree_counts(p, gen_degree, 1000) == dp_degree_counts(p, gen_degree, 1000)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_every_milnor_degree_has_a_generator_of_its_kind(p):
+    # Taking one generator away at each Milnor degree leaves no count
+    # negative, so the homotopy quotient is the fold of the reduced counts.
+    counts = {(d, kind): b for d, kind, b in _profile(p, 4000)}
+    for d, kind in milnor_degrees_by_membership(p, 4000):
+        assert counts.get((d, kind), 0) >= 1, (d, kind)
 
 
 def test_counts_reject_what_the_words_reject():
@@ -73,12 +84,20 @@ def fold(triples, n, kernel=_fold_counts):
 # In ``_fold_factors``: the third example groups 7 factors 1 + t^2 and 5 of
 # 1 + t^3, each more than N // s, into binomial sums; in the fourth, (1 + t)^7
 # leaves slots below 2^6, so the 9 shift-adds by t^2 need exactly the 10 top
-# bits that two-byte slots have clear.
+# bits that two-byte slots have clear.  The last four start from the band
+# above N/3 = 4: (1 + t^4)^3 is a group, whose cube reaches t^12, beside the
+# band's t^5 and t^10 from two polynomial generators of degree 5; 2s = N puts
+# C(3, 2) t^12 in the top slot; e_s > 1 at three shifts of the band; and 256
+# factors 1 + t^6 make the top slot of A^2 2^16, which needs a third byte.
 @given(count_profile())
 @example((12, [(1, "polynomial", 20), (2, "polynomial", 1)]))
 @example((12, [(1, "exterior", 9), (5, "exterior", 1), (3, "polynomial", 3)]))
 @example((12, [(3, "exterior", 5), (2, "polynomial", 7)]))
 @example((18, [(1, "exterior", 7), (2, "exterior", 9)]))
+@example((12, [(4, "exterior", 3), (5, "polynomial", 2)]))
+@example((12, [(6, "exterior", 3)]))
+@example((15, [(7, "polynomial", 4), (8, "exterior", 5), (1, "exterior", 2)]))
+@example((12, [(6, "exterior", 256)]))
 def test_fold_equals_naive_product_of_expanded_factors(profile):
     n, triples = profile
     expanded = [(d, kind) for d, kind, b in triples for _ in range(b)]
@@ -153,17 +172,19 @@ def kernel_taken(monkeypatch, fold_arrays):
 
 
 # Points from the benchmark's degree ranges and beyond, on both sides of the
-# rule.  (2, 100) and (7, 4000) take the factor path because it is the faster
-# one there: 0.18 against 0.19 ms and 39 against 43 ms per fold; (2, 130),
-# 0.33 against 0.28 ms, does not (best of 40 and of 8 runs on a 2-core
-# x86-64 machine).
+# rule.  (2, 157), (3, 799) and (7, 4000) take the factor path because it is
+# the faster one there: 0.42 against 0.45 ms, 4.8 against 5.1 ms and 22
+# against 47 ms per fold; (2, 200), 0.63 against 0.56 ms, and (3, 1000), 8.8
+# against 6.9 ms, do not (best of 15 runs on a 2-core x86-64 machine).
 @pytest.mark.parametrize("p,n,path", [
-    (2, 27, "factors"), (2, 46, "factors"), (2, 100, "factors"), (3, 58, "factors"),
-    (3, 200, "factors"), (3, 340, "factors"), (3, 500, "factors"), (5, 500, "factors"),
-    (7, 850, "factors"), (7, 4000, "factors"), (13, 4000, "factors"),
-    (2, 130, "euler"), (2, 200, "euler"), (2, 4000, "euler"), (3, 1000, "euler"), (5, 4000, "euler"),
+    (2, 27, "factors"), (2, 46, "factors"), (2, 100, "factors"), (2, 130, "factors"),
+    (2, 157, "factors"), (3, 58, "factors"), (3, 200, "factors"), (3, 340, "factors"),
+    (3, 500, "factors"), (3, 799, "factors"), (5, 500, "factors"), (7, 850, "factors"),
+    (7, 4000, "factors"), (13, 4000, "factors"),
+    (2, 158, "euler"), (2, 200, "euler"), (2, 4000, "euler"), (3, 800, "euler"),
+    (3, 1000, "euler"), (5, 4000, "euler"),
 ])
-def test_the_fold_takes_the_factor_path_at_most_88_doublings_per_bit_of_n(monkeypatch, p, n, path):
+def test_the_fold_takes_the_factor_path_at_most_150_doublings_per_bit_of_n(monkeypatch, p, n, path):
     taken, series = kernel_taken(monkeypatch, lambda: generator_series(p, (1,), n))
     assert taken == [path]
     assert list(series.coefficients) == factor_fold(_profile(p, n), n)
@@ -171,16 +192,16 @@ def test_the_fold_takes_the_factor_path_at_most_88_doublings_per_bit_of_n(monkey
 
 @pytest.mark.parametrize("extra,path", [(0, "factors"), (1, "euler")])
 def test_the_rule_counts_the_doublings_up_to_n_over_2(monkeypatch, extra, path):
-    # N = 10 has 4 bits, so the limit is 352 doublings d 2^j <= 5: 116
+    # N = 10 has 4 bits, so the limit is 600 doublings d 2^j <= 5: 198
     # polynomial generators of degree 1 give three each (t, t^2 and t^4; t^8
-    # is above N/2), one of degree 2 two and two of degree 3 one each.
+    # is above N/2), two of degree 2 two each and two of degree 3 one each.
     # Polynomial ones of degree 6 and exterior ones give none.
     polynomial, exterior = [0] * 11, [0] * 11
-    polynomial[1], polynomial[2], polynomial[3], polynomial[6] = 116, 1, 2 + extra, 50
+    polynomial[1], polynomial[2], polynomial[3], polynomial[6] = 198, 2, 2 + extra, 50
     exterior[1], exterior[5] = 400, 50
     taken, series = kernel_taken(monkeypatch, lambda: _fold_counts(polynomial, exterior))
     assert taken == [path]
-    triples = [(1, "polynomial", 116), (2, "polynomial", 1), (3, "polynomial", 2 + extra),
+    triples = [(1, "polynomial", 198), (2, "polynomial", 2), (3, "polynomial", 2 + extra),
                (6, "polynomial", 50), (1, "exterior", 400), (5, "exterior", 50)]
     assert list(series.coefficients) == factor_fold(triples, 10)
 
