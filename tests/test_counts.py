@@ -171,20 +171,34 @@ def kernel_taken(monkeypatch, fold_arrays):
     return taken, fold_arrays()
 
 
-# Points from the benchmark's degree ranges and beyond, on both sides of the
-# rule.  (2, 157), (3, 799) and (7, 4000) take the factor path because it is
-# the faster one there: 0.42 against 0.45 ms, 4.8 against 5.1 ms and 22
-# against 47 ms per fold; (2, 200), 0.63 against 0.56 ms, and (3, 1000), 8.8
-# against 6.9 ms, do not (best of 15 runs on a 2-core x86-64 machine).
+# Points from the benchmark's degree ranges and beyond, at most 88 or more
+# than 150 doublings per bit of N, so on the same side of the rule whichever
+# limit between the two it holds.  (7, 4000), at 76 per bit, takes the factor
+# path because it is the faster one there: 22 against 47 ms per fold; (2, 200),
+# 0.63 against 0.56 ms, and (3, 1000), 8.8 against 6.9 ms, do not (best of 15
+# runs on a 2-core x86-64 machine).
 @pytest.mark.parametrize("p,n,path", [
-    (2, 27, "factors"), (2, 46, "factors"), (2, 100, "factors"), (2, 130, "factors"),
-    (2, 157, "factors"), (3, 58, "factors"), (3, 200, "factors"), (3, 340, "factors"),
-    (3, 500, "factors"), (3, 799, "factors"), (5, 500, "factors"), (7, 850, "factors"),
-    (7, 4000, "factors"), (13, 4000, "factors"),
-    (2, 158, "euler"), (2, 200, "euler"), (2, 4000, "euler"), (3, 800, "euler"),
-    (3, 1000, "euler"), (5, 4000, "euler"),
+    (2, 27, "factors"), (2, 46, "factors"), (2, 100, "factors"), (3, 58, "factors"),
+    (3, 200, "factors"), (3, 340, "factors"), (3, 500, "factors"), (5, 500, "factors"),
+    (7, 850, "factors"), (7, 4000, "factors"), (13, 4000, "factors"),
+    (2, 200, "euler"), (2, 4000, "euler"), (3, 1000, "euler"), (5, 4000, "euler"),
 ])
-def test_the_fold_takes_the_factor_path_at_most_150_doublings_per_bit_of_n(monkeypatch, p, n, path):
+def test_the_fold_takes_the_factor_path_at_most_88_doublings_per_bit_of_n(monkeypatch, p, n, path):
+    taken, series = kernel_taken(monkeypatch, lambda: generator_series(p, (1,), n))
+    assert taken == [path]
+    assert list(series.coefficients) == factor_fold(_profile(p, n), n)
+
+
+# Points between 88 and 150 doublings per bit of N and just above 150: (2, 130)
+# at 94, (2, 157) at 148 and (3, 799) at 150 take the factor path, the faster
+# one there (0.42 against 0.45 ms and 4.8 against 5.1 ms per fold for the last
+# two, best of 15 runs on a 2-core x86-64 machine); (2, 158) at 153 and
+# (3, 800) at 154 do not.
+@pytest.mark.parametrize("p,n,path", [
+    (2, 130, "factors"), (2, 157, "factors"), (3, 799, "factors"),
+    (2, 158, "euler"), (3, 800, "euler"),
+])
+def test_the_fold_takes_the_factor_path_up_to_150_doublings_per_bit_of_n(monkeypatch, p, n, path):
     taken, series = kernel_taken(monkeypatch, lambda: generator_series(p, (1,), n))
     assert taken == [path]
     assert list(series.coefficients) == factor_fold(_profile(p, n), n)
