@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .power_series import TruncatedSeries, _check_degrees, multiply_over_generators
+from .power_series import TruncatedSeries, _check_degrees, _check_index, multiply_over_generators
 from .value import Value
 
 # Generator kinds: of degree d, a polynomial one gives 1/(1 - t^d), an exterior one 1 + t^d.
@@ -124,29 +124,26 @@ def _piece(label: str, e: int) -> str:
 class MonomialBasis(Value):
     """Monomials of degrees 0..N by degree.
 
-    ``names[d]`` lists the rendered monomials of degree d and is built
-    eagerly; ``buckets[d]`` holds the same monomials as ``Monomial``s, in the
-    same order (``names[d][i] == buckets[d][i].render()``), and is built by
-    the same recurrence on each read.
+    ``buckets[d]`` holds the monomials of degree d, listed once when the
+    basis is made; ``names[d]`` renders them on each read, in the same order.
     """
 
-    __slots__ = ("generators", "truncation_degree", "names")
+    __slots__ = ("generators", "truncation_degree", "buckets")
 
     generators: GeneratorSet
     truncation_degree: int
-    names: tuple[tuple[str, ...], ...]
+    buckets: tuple[tuple[Monomial, ...], ...]
 
     @property
-    def buckets(self) -> tuple[tuple[Monomial, ...], ...]:
-        rows = [(g.degree, g, g.kind) for g in self.generators]
-        listing = _listing(rows, self.truncation_degree, (), _factor, ())
-        return tuple(tuple(map(Monomial, bucket)) for bucket in listing)
+    def names(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(m.render() for m in b) for b in self.buckets)
 
     def bucket(self, degree: int) -> tuple[Monomial, ...]:
+        _check_index(degree, self.truncation_degree)
         return self.buckets[degree]
 
     def dimensions(self) -> list[int]:
-        return [len(b) for b in self.names]
+        return [len(b) for b in self.buckets]
 
 
 def product_over_generators(gens: Iterable[Generator], truncation_degree: int) -> TruncatedSeries:
@@ -215,29 +212,21 @@ def _listing(rows: Sequence[tuple], n: int, unit, power, joiner) -> list[list]:
     return buckets
 
 
-def list_names(rows: Sequence[tuple[int, str, str]], truncation_degree: int,
-               encode=str) -> list[list[str]]:
-    """The names of the basis in degrees 0..N of the free algebra on
-    ``rows``, (degree, label, kind) triples in canonical order as
-    ``dyer_lashof.generator_rows`` gives them, bucket by bucket in the order
-    of ``enumerate_monomials``, each in the string encoding ``encode``.
+def joined_names(
+    rows: Sequence[tuple[int, str, str]], truncation_degree: int, encode=str
+) -> tuple[list[int], Callable[[Callable[[int], str]], Iterator[list[str]]]]:
+    """``(counts, join)`` for the names of the basis in degrees 0..N of the
+    free algebra on ``rows``, (degree, label, kind) triples in canonical order
+    as ``dyer_lashof.generator_rows`` gives them, without building most of
+    them.  With ``names[d]`` the rendered monomials of degree d in the order
+    of ``enumerate_monomials``, each in the string encoding ``encode``,
+    counts[d] is ``len(names[d])``, and ``join(sep)`` yields, degree by
+    degree, a list of pieces that concatenate to ``sep(d).join(names[d])``.
 
     ``encode`` must carry concatenation over (``encode(x + y) == encode(x) +
     encode(y)``), as an escape applied character by character does: it runs
     only on the unit, the ``·`` joiner and each (generator, exponent) piece,
     and every name is a concatenation of those.
-    """
-    return _listing(rows, truncation_degree, encode("1"),
-                    lambda label, e: encode(_piece(label, e)), encode("·"))
-
-
-def joined_names(
-    rows: Sequence[tuple[int, str, str]], truncation_degree: int, encode=str
-) -> tuple[list[int], Callable[[Callable[[int], str]], Iterator[list[str]]]]:
-    """``(counts, join)`` for the names ``names = list_names(rows,
-    truncation_degree, encode)`` without building most of them: counts[d] is
-    ``len(names[d])``, and ``join(sep)`` yields, degree by degree, a list of
-    pieces that concatenate to ``sep(d).join(names[d])``.
 
     The later generators are listed name by name (``_listing``); a monomial
     with the lowest generator g never is.  Each degree is a list of runs
@@ -282,9 +271,8 @@ def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialB
 
     Within a degree, monomials appear in descending lexicographic order of
     their exponent vectors over the canonical generator order, so pure
-    powers of the lowest generator come first.  Only the names are built
-    here; the ``Monomial``s wait for a read of ``buckets``.
+    powers of the lowest generator come first.
     """
-    rows = [(g.degree, g.label, g.kind) for g in gens]
-    names = list_names(rows, truncation_degree)
-    return MonomialBasis(gens, truncation_degree, tuple(map(tuple, names)))
+    rows = [(g.degree, g, g.kind) for g in gens]
+    listing = _listing(rows, truncation_degree, (), _factor, ())
+    return MonomialBasis(gens, truncation_degree, tuple(tuple(map(Monomial, b)) for b in listing))

@@ -67,6 +67,7 @@ class TruncatedSeries(Value):
         return cls.from_coefficients((1,), truncation_degree)
 
     def coefficient(self, degree: int) -> int:
+        _check_index(degree, self.truncation_degree)
         return self.coefficients[degree]
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
@@ -178,6 +179,13 @@ def _pack_signed(coeffs: Sequence[int], w: int) -> int:
     written as c_i + 2^(8w - 1), which is nonnegative, less the offsets."""
     half = 1 << (8 * w - 1)
     return _pack(map(add, coeffs, repeat(half)), w) - _offsets(len(coeffs), w)
+
+
+def _check_index(degree: int, truncation_degree: int) -> None:
+    """Raise IndexError unless ``degree`` lies in 0..``truncation_degree``;
+    a negative degree would otherwise index from the top."""
+    if not 0 <= degree <= truncation_degree:
+        raise IndexError(f"degree {degree} outside 0..{truncation_degree}")
 
 
 def _check_degrees(polynomial: Sequence[int], exterior: Sequence[int]) -> None:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators
-from versalp.free_algebra import EXTERIOR, Monomial, enumerate_monomials, list_names
+from versalp.free_algebra import EXTERIOR, Generator, GeneratorSet, Monomial, enumerate_monomials
 from versalp.steenrod_dual import milnor_generator_degrees
 from versalp.versal import VerificationError
 
@@ -270,6 +270,22 @@ def test_verification_error_exits_2_without_report(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "forced failure" in err
+
+
+def test_homotopy_whose_gap_check_fails_exits_2(monkeypatch, capsys):
+    series = versal.homotopy_series
+
+    def gap_failed(p, n):
+        r = series(p, n)
+        return versal.HomotopyReport(r.prime, r.truncation_degree, r.homology_series,
+                                     r.homotopy_series, False, r.first_positive_nonzero_degree,
+                                     r.nonnegative, r.tensor_identity)
+
+    monkeypatch.setattr(versal, "homotopy_series", gap_failed)
+    code, out, err = run(capsys, "homotopy", "--prime", "2", "--max-degree", "12")
+    assert code == 2
+    assert out == ""
+    assert "gap check failed for p=2 through degree 12" in err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -704,7 +720,8 @@ def test_json_text_equals_json_dumps_of_library_reports(command, p, n, listed):
     def escape(s):
         return json.encoder.encode_basestring_ascii(s)[1:-1]
 
-    names = list_names(report.generators, n)
+    gens = GeneratorSet(Generator(label, d, kind) for d, label, kind in report.generators)
+    names = enumerate_monomials(gens, n).names
     assert_json_text_is_json_dumps(report, names, cli._basis(report, escape))
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from versalp import free_algebra
 from versalp.dyer_lashof import enumerate_generators
 from versalp.free_algebra import (
     Generator,
@@ -11,7 +12,6 @@ from versalp.free_algebra import (
     Monomial,
     enumerate_monomials,
     joined_names,
-    list_names,
     series_of,
 )
 from versalp.steenrod_dual import milnor_generator_degrees
@@ -126,6 +126,29 @@ def test_monomial_validation():
         Monomial(((y, 1), (x, 1)))  # out of canonical order
     with pytest.raises(ValueError):
         enumerate_monomials(GeneratorSet((x, y)), -1)
+
+
+def test_bucket_rejects_a_degree_outside_0_to_n():
+    # A negative degree would otherwise read a bucket from the top.
+    basis = enumerate_monomials(enumerate_generators(2, 1, 4), 4)
+    for degree in (-1, 5):
+        with pytest.raises(IndexError, match=f"degree {degree} outside 0..4"):
+            basis.bucket(degree)
+
+
+def test_a_basis_is_listed_once(monkeypatch):
+    calls = []
+    listing = free_algebra._listing
+
+    def counted(*args):
+        calls.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(free_algebra, "_listing", counted)
+    basis = enumerate_monomials(enumerate_generators(2, 1, 8), 8)
+    assert len(calls) == 1
+    basis.buckets, basis.bucket(4), basis.names, basis.dimensions()
+    assert len(calls) == 1
 
 
 @st.composite
@@ -250,8 +273,12 @@ def test_names_listed_in_an_escape_equal_the_names_escaped(case):
             return encode(s)[1:-1]
 
         expected = [[escape(name) for name in bucket] for bucket in canonical]
-        assert list_names(rows_of(gens), n, escape) == expected
-    assert list_names(rows_of(gens), n) == [list(bucket) for bucket in canonical]
+        counts, join = joined_names(rows_of(gens), n, escape)
+        assert counts == [len(bucket) for bucket in expected]
+        # An escaped name holds no newline, so joining on one loses no boundary.
+        assert ["".join(pieces) for pieces in join(lambda d: "\n")] == [
+            "\n".join(bucket) for bucket in expected
+        ]
 
 
 def escape_json(s):
@@ -278,7 +305,7 @@ SEPARATORS = st.one_of(
 @example((GeneratorSet((poly("a", 2), poly("b", 3))), 8), lambda d: f"\n{d},", str)
 def test_joined_names_join_the_listed_names(case, sep, encode):
     gens, n = case
-    names = list_names(rows_of(gens), n, encode)
+    names = [[encode(name) for name in bucket] for bucket in enumerate_monomials(gens, n).names]
     counts, join = joined_names(rows_of(gens), n, encode)
     assert counts == [len(bucket) for bucket in names]
     degrees = list(join(sep))

@@ -30,6 +30,14 @@ def test_from_coefficients_rejects_overflowing_input():
         series([1, 2, 3], 1)
 
 
+def test_coefficient_rejects_a_degree_outside_0_to_n():
+    # A negative degree would otherwise read a coefficient from the top.
+    s = series([1, 2, 3], 10)
+    for degree in (-1, 11):
+        with pytest.raises(IndexError, match=f"degree {degree} outside 0..10"):
+            s.coefficient(degree)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         TruncatedSeries(2, (1, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from versalp import cli, versal
 from versalp.dyer_lashof import enumerate_generators, generator_series
-from versalp.free_algebra import Generator, enumerate_monomials
+from versalp.free_algebra import Generator, GeneratorSet, enumerate_monomials
 from versalp.power_series import (
     TruncatedSeries,
     multiply_over_generators,
@@ -191,6 +191,56 @@ def test_collision_sources_live_in_the_degree_4_bucket():
     witness = structure_map_collision()
     assert witness.source_monomials[0] in bucket
     assert witness.source_monomials[1] in bucket
+
+
+def _degree_4_bucket():
+    """The degree-4 basis monomials at p = 2 by name: a^4, a·Q^2 a, Q^3 a."""
+    bucket = enumerate_monomials(enumerate_generators(2, 1, 4), 4).bucket(4)
+    return {m.render(): m for m in bucket}
+
+
+def test_collision_witness_rejects_two_equal_sources():
+    a4 = _degree_4_bucket()["a^4"]
+    with pytest.raises(ValueError, match="distinct"):
+        versal.CollisionWitness((a4, a4), "e_1^4")
+
+
+def test_collision_witness_rejects_a_source_outside_degree_4():
+    a4 = _degree_4_bucket()["a^4"]
+    a3 = enumerate_monomials(enumerate_generators(2, 1, 3), 3).bucket(3)[0]
+    with pytest.raises(ValueError, match="degree 4"):
+        versal.CollisionWitness((a4, a3), "e_1^4")
+
+
+def test_bordism_image_raises_on_a_monomial_with_no_stored_relation():
+    with pytest.raises(VerificationError, match="no stored relation for 'Q\\^2 a'"):
+        versal._bordism_image(_degree_4_bucket()["a·Q^2 a"])
+
+
+def test_collision_raises_when_the_degree_4_bucket_lacks_q3a(monkeypatch, capsys):
+    def without_q3a(p, gen_degree, max_degree):
+        gens = enumerate_generators(p, gen_degree, max_degree)
+        return GeneratorSet(g for g in gens if g.label != "Q^3 a")
+
+    monkeypatch.setattr(versal, "enumerate_generators", without_q3a)
+    with pytest.raises(VerificationError, match="lacks an expected monomial"):
+        structure_map_collision()
+    assert cli.main(["verify", "--prime", "2"]) == 2
+    assert "FAIL  collision_witness" in capsys.readouterr().out
+
+
+def test_collision_raises_when_the_two_images_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(versal, "_IMAGE_E1_EXPONENT", {"a": 1, "Q^3 a": 3})
+    with pytest.raises(VerificationError, match="images disagree: e_1\\^3 vs e_1\\^4"):
+        structure_map_collision()
+    assert cli.main(["collision"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "images disagree" in err
+
+
+def test_first_difference_raises_on_a_series_equal_to_1_plus_t():
+    with pytest.raises(ValueError, match="agree up to degree 5"):
+        versal._first_difference(TruncatedSeries.from_coefficients([1, 1], 5))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
