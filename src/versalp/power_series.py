@@ -254,7 +254,9 @@ def quotient_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
 _DOUBLINGS_PER_BIT = 150
 
 
-def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
+def _fold_counts(polynomial: list[int], exterior: list[int],
+                 over: tuple[Sequence[int], Sequence[int]] | None = None,
+                 ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries | None]:
     """Dimension series, through degree N, of the free graded-commutative
     algebra with polynomial[d] polynomial and exterior[d] exterior
     generators of each degree d; both lists have length N + 1 and their
@@ -273,8 +275,18 @@ def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     test.  Otherwise the product is an Euler transform (``_fold_euler``),
     and the remainder check is that path's alone.
 
+    With ``over``, a pair (polynomial degrees, exterior degrees) each at
+    most N and none twice in a list, the result is the pair (series, series over ``over``): the
+    second is the series divided by prod_d 1/(1 - t^d) prod_e (1 + t^e)
+    over those degrees, read off the factor path before their factors are
+    applied, last, to the same integer.  It is None when the Euler path
+    runs, or when a degree of ``over`` holds no generator of its kind, as
+    the quotient is then no fold of counts.
+
     >>> _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0]).coefficients
     (1, 2, 4, 6, 8)
+    >>> [s.coefficients for s in _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0], ([1], [2]))]
+    [(1, 2, 4, 6, 8), (1, 1, 1, 1, 1)]
     """
     n = len(polynomial) - 1
     limit = _DOUBLINGS_PER_BIT * n.bit_length()
@@ -282,7 +294,13 @@ def _fold_counts(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     while top and doublings <= limit:
         doublings += sum(polynomial[1:top + 1])
         top //= 2
-    return (_fold_factors if doublings <= limit else _fold_euler)(polynomial, exterior)
+    if doublings > limit:
+        series = _fold_euler(polynomial, exterior)
+    elif over and all(polynomial[d] for d in over[0]) and all(exterior[d] for d in over[1]):
+        return _fold_factors(polynomial, exterior, over)
+    else:
+        series = _fold_factors(polynomial, exterior)
+    return series if over is None else (series, None)
 
 
 def _fold_euler(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
@@ -308,7 +326,9 @@ def _fold_euler(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
     return TruncatedSeries(n, tuple(a))
 
 
-def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
+def _fold_factors(polynomial: list[int], exterior: list[int],
+                  over: tuple[Sequence[int], Sequence[int]] | None = None,
+                  ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries]:
     """``_fold_counts`` as a product of factors 1 + t^s in one integer x, a
     slot of w bytes per degree: e_s factors for each s, one per exterior
     generator of degree s and one per polynomial generator of degree d with
@@ -330,12 +350,26 @@ def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries
     guard test before it asks that the top g + 1 bits of every slot be
     clear, and if any is set every slot widens by ceil(g / 8) bytes.  No
     group lowers a slot, so each is exact and leaves every slot below
-    2^(8w - 1)."""
+    2^(8w - 1).
+
+    With ``over`` = (xi, tau), which ``_fold_counts`` hands on only when
+    every degree in it holds a generator of its kind, one factor 1 + t^s
+    is taken out of e_s for each of ``_shifts(xi, tau, N)`` before the band,
+    and the slots read after the groups are the series over those
+    factors.  With m its largest coefficient, every slot of the product is
+    at most m times the number of monomials in those generators of degree
+    at most N, so at most m prod_d (N // d + 1) 2^|tau|; ``_times_factors``
+    widens the slots to that bound once, then applies the factors, and the
+    pair of both reads is returned."""
     n = len(polynomial) - 1
     third = n // 3
     e = list(exterior)
     for j in range(n.bit_length()):
         e[::1 << j] = map(add, e[::1 << j], polynomial)
+    if over is not None:
+        shifts = _shifts(*over, n)
+        for s in shifts:
+            e[s] -= 1
     band = e[third + 1:]
     w = max(2, ((max(band, default=0) * sum(band)).bit_length() + 8) // 8)
     full = (1 << 8 * w * (n + 1)) - 1
@@ -365,7 +399,39 @@ def _fold_factors(polynomial: list[int], exterior: list[int]) -> TruncatedSeries
         else:
             for _ in range(k):
                 x += (x << shift) & full
-    return TruncatedSeries(n, _unpack(x, w, n + 1))
+    if over is None:
+        return TruncatedSeries(n, _unpack(x, w, n + 1))
+    xi, tau = over
+    reduced = _unpack(x, w, n + 1)
+    bound = max(reduced) * prod(n // d + 1 for d in xi) << len(tau)
+    x, w = _times_factors(x, w, n, shifts, bound)
+    return TruncatedSeries(n, _unpack(x, w, n + 1)), TruncatedSeries(n, reduced)
+
+
+def _shifts(polynomial: Sequence[int], exterior: Sequence[int], n: int) -> list[int]:
+    """The shifts s of the factors 1 + t^s of prod_d 1/(1 - t^d)
+    prod_e (1 + t^e) through degree n, ascending: d 2^j <= n for each
+    polynomial degree d, and each exterior degree e.
+
+    >>> _shifts([2, 3], [1], 8)
+    [1, 2, 3, 4, 6, 8]
+    """
+    doublings = [d << j for d in polynomial for j in range(n.bit_length()) if d << j <= n]
+    return sorted(doublings + list(exterior))
+
+
+def _times_factors(x: int, w: int, n: int, shifts: Sequence[int], bound: int) -> tuple[int, int]:
+    """(y, v): y, in n + 1 slots of v bytes, is x, n + 1 slots of w bytes,
+    times prod_s (1 + t^s) over ``shifts`` through degree n.  The slots
+    widen first, to the bytes that ``bound`` takes, when that is more than
+    w; ``bound`` must bound every slot of y, so that no shift-add carries."""
+    v = (bound.bit_length() + 7) // 8
+    if v > w:
+        x, w = int.from_bytes(_padded(x, w, n + 1, v), "little"), v
+    full = (1 << 8 * w * (n + 1)) - 1
+    for s in shifts:
+        x += (x << 8 * w * s) & full
+    return x, w
 
 
 def _sparse_product(

@@ -3,19 +3,23 @@ enumeration and the counting dynamic program; both paths of the fold, the
 Euler transform and the packed product of factors grouped by shift, against
 naive factor products, the oracle's factor fold and each other (across every
 leaf boundary of the Euler transform, whose products are counted too), the
-rule that picks between them, and the packed product's headroom rule; and the
-homotopy quotient far above the enumeration oracles' degree caps."""
+rule that picks between them, and the packed product's headroom rule; the
+series the factor path reads before the factors of given degrees, against
+the quotient by them; and the homotopy quotient far above the enumeration
+oracles' degree caps."""
 
 from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from versalp import cli, power_series, versal
+from versalp import cli, dyer_lashof, power_series, versal
 from versalp.dyer_lashof import generator_degree_counts, generator_series, generator_words
 from versalp.power_series import (
     TruncatedSeries, VerificationError, _fold_counts, _fold_euler, _fold_factors,
+    quotient_over_generators,
 )
+from versalp.steenrod_dual import milnor_degrees
 from versalp.versal import homology_series, homotopy_report, homotopy_series, steenrod_series
 
 from oracles import (
@@ -104,6 +108,76 @@ def test_fold_equals_naive_product_of_expanded_factors(profile):
     expected = naive_series(expanded, n)
     for kernel in (_fold_counts, _fold_euler, _fold_factors):
         assert list(fold(triples, n, kernel).coefficients) == expected, kernel.__name__
+
+
+@given(count_profile(), st.data())
+@example((12, [(1, "exterior", 3), (2, "polynomial", 2), (5, "polynomial", 1)]), None)
+def test_the_fold_over_degrees_that_hold_a_generator_is_the_quotient(profile, data):
+    # Any degrees that hold a generator of their kind, at most one of each
+    # kind per degree: the series read before their factors is the quotient.
+    n, triples = profile
+    held = sorted({(d, kind) for d, kind, b in triples if b and d <= n})
+    chosen = data.draw(st.lists(st.sampled_from(held), unique=True)) if data and held else held
+    over = tuple([d for d, kind in chosen if kind == k] for k in ("polynomial", "exterior"))
+    series, reduced = fold(triples, n, lambda *arrays: _fold_counts(*arrays, over))
+    assert series == fold(triples, n)
+    assert reduced == quotient_over_generators(series, *over)
+
+
+# verify runs each factor-path limit (p = 3 up to N = 799, p = 5 up to 2,911)
+# and p >= 7 up to the degree limit, 4,000, on the fold's pair.  Only in a
+# window of degrees at each p >= 5 must the last phase widen the slots before
+# its factors (p = 5: N = 227 to 257, 7: 351 to 409, 11: 603 to 681, 13: 723
+# to 817; none at p = 3), and one point of each window is here too.
+@pytest.mark.parametrize("p,n", [(3, 799), (5, 2911), (7, 4000), (11, 4000), (13, 4000),
+                                 (5, 240), (7, 380), (11, 640), (13, 770)])
+def test_the_fold_reads_the_homotopy_quotient_before_the_milnor_factors(p, n):
+    milnor = milnor_degrees(p, n)
+    hom, quo = homology_series(p, n, over=milnor)
+    assert hom == homology_series(p, n)
+    assert quo == quotient_over_generators(hom, *milnor)
+
+
+@pytest.mark.parametrize("p,n", [(3, 800), (5, 2912)])
+def test_the_euler_path_leaves_the_quotient_to_the_report(p, n):
+    milnor = milnor_degrees(p, n)
+    hom, quo = homology_series(p, n, over=milnor)
+    assert hom == homology_series(p, n) and quo is None
+    report = homotopy_report(p, n)
+    assert report.homotopy_series == quotient_over_generators(hom, *milnor)
+    assert report.tensor_identity
+
+
+def test_a_milnor_degree_with_no_generator_of_its_kind_falls_back_to_the_quotient(monkeypatch):
+    # Degree 4 holds two exterior generators and no polynomial one, degree 2
+    # a polynomial one and no exterior one.
+    polynomial, exterior = [0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0, 0, 0, 0]
+    for over in (([2, 4], [1]), ([2], [1, 2])):
+        series, reduced = _fold_counts(polynomial, exterior, over)
+        assert series == _fold_counts(polynomial, exterior) and reduced is None, over
+    # At p = 3 tau_0 and xi_1 sit in degrees 1 and 4; with the degree-4
+    # generator taken out of the counts the report divides instead.
+    counts = dyer_lashof.generator_degree_counts
+
+    def without_degree_4(p, gen_degree, max_degree):
+        c = counts(p, gen_degree, max_degree)
+        c[4] = 0
+        return c
+
+    quotient, divided = versal.quotient_over_generators, []
+
+    def spy(series, xi, tau):
+        divided.append((xi, tau))
+        return quotient(series, xi, tau)
+
+    monkeypatch.setattr(dyer_lashof, "generator_degree_counts", without_degree_4)
+    monkeypatch.setattr(versal, "quotient_over_generators", spy)
+    report = homotopy_report(3, 60)
+    milnor = milnor_degrees(3, 60)
+    assert divided == [milnor]
+    assert report.homology_series.coefficient(4) == 0
+    assert report.homotopy_series == quotient(report.homology_series, *milnor)
+    assert report.tensor_identity
 
 
 def _profile(p, n, gen_degrees=(1,)):

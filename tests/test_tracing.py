@@ -47,3 +47,26 @@ def test_traced_reports_run_and_every_original_comes_back(tracing, capsys):
         changed = sorted(name for name in old.keys() | new.keys()
                          if old.get(name) is not new.get(name))
         assert not changed, (owner.__name__, changed)
+
+
+# Points of the benchmark's verify-odd workload, and one below 4(p - 1), whose
+# report makes a second homology call at 4(p - 1).
+VERIFY_ARGVS = (
+    ["verify", "--prime", "3", "--max-degree", "340"],
+    ["verify", "--prime", "5", "--max-degree", "650"],
+    ["verify", "--prime", "7", "--max-degree", "850"],
+    ["verify", "--prime", "7", "--max-degree", "5"],
+)
+
+
+def test_a_traced_verify_run_reads_its_per_layer_metrics(tracing, capsys):
+    # The metrics divide by the number of homology calls, so a report that
+    # reached the homology by another name would stop the benchmark's trace.
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer) as main:
+        for argv in VERIFY_ARGVS:
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    metrics = tracing.metrics(tracer, 1.0, 0, 0.0)
+    assert metrics["versal.homology_series.calls"] == (5 / 4, "count")
+    assert metrics["versal.homology_series.useful_ratio"] == (1.0, "ratio")

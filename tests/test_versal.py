@@ -3,7 +3,7 @@ from operator import add
 
 import pytest
 
-from versalp import cli, versal
+from versalp import cli, power_series, versal
 from versalp.dyer_lashof import enumerate_generators, generator_series
 from versalp.free_algebra import Generator, GeneratorSet, enumerate_monomials
 from versalp.power_series import (
@@ -101,16 +101,29 @@ def test_homotopy_negative_coefficient_aborts(monkeypatch):
         versal.homotopy_series(2, 4)
 
 
+def _one_too_many_at_the_top(length=None):
+    """``versal.homology_series`` whose homotopy series, the second of the
+    pair it returns at odd p, has one class too many in its top degree,
+    when it has ``length`` coefficients or for any length."""
+    homology = versal.homology_series
+
+    def split(p, max_degree, *, over=None):
+        if over is None:
+            return homology(p, max_degree)
+        hom, quo = homology(p, max_degree, over=over)
+        c = quo.coefficients
+        if length is None or len(c) == length:
+            quo = TruncatedSeries(len(c) - 1, c[:-1] + (c[-1] + 1,))
+        return hom, quo
+
+    return split
+
+
 def test_multiply_back_catches_a_wrong_quotient(monkeypatch, capsys):
-    quotient = versal.quotient_over_generators
-
-    def one_too_many_at_the_top(series, polynomial, exterior):
-        c = quotient(series, polynomial, exterior).coefficients
-        return TruncatedSeries(len(c) - 1, c[:-1] + (c[-1] + 1,))
-
     # Degree 24 at p = 3 is far above the gap, so only the multiply-back can
-    # see the extra class: the quotient stays nonnegative.
-    monkeypatch.setattr(versal, "quotient_over_generators", one_too_many_at_the_top)
+    # see the extra class: the quotient stays nonnegative.  The fold returns
+    # the quotient there, so the fault goes in where the report reads it.
+    monkeypatch.setattr(versal, "homology_series", _one_too_many_at_the_top())
     with pytest.raises(VerificationError, match="tensor identity"):
         versal.homotopy_series(3, 24)
     verdicts = {v.name: v.passed for v in versal.verification_battery(3, 24)}
@@ -291,9 +304,9 @@ def _count_calls(monkeypatch, name):
     function = getattr(versal, name)
     seen = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         seen.append(args)
-        return function(*args)
+        return function(*args, **kwargs)
 
     monkeypatch.setattr(versal, name, counted)
     return seen
@@ -324,18 +337,11 @@ def test_verify_computes_each_series_once(monkeypatch, capsys, p, n, reports):
 
 
 def test_selfmap_check_fails_on_a_fault_only_its_own_report_holds(monkeypatch, capsys):
-    quotient = versal.quotient_over_generators
-
-    def one_too_many_at_degree_8(series, polynomial, exterior):
-        quo = quotient(series, polynomial, exterior)
-        c = quo.coefficients
-        return quo if len(c) != 9 else TruncatedSeries(8, c[:-1] + (c[-1] + 1,))
-
     # At p = 3, N = 4 the report at 4(p-1) = 8 is read only by the fixed-scale
     # checks. The extra class leaves H_1, the first HZ/p difference and the
     # first positive degree as they are: only that report's tensor identity
     # sees it, and only the self-map check verifies that identity.
-    monkeypatch.setattr(versal, "quotient_over_generators", one_too_many_at_degree_8)
+    monkeypatch.setattr(versal, "homology_series", _one_too_many_at_the_top(length=9))
     assert cli.main(["verify", "--prime", "3", "--max-degree", "4"]) == 2
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL  selfmap_degree  (tensor identity failed at p=3: "
@@ -380,11 +386,32 @@ def _first_kind_swapped(p, n):
     return (xi[1:], [xi[0], *tau]) if p == 2 else ([tau[0], *xi], tau[1:])
 
 
+def _milnor_phase(twice=False, short=False, narrow=False):
+    """``power_series._times_factors``, the Milnor factors applied last on
+    the fold's factor path, with one fault: the first factor, (1 + t) for
+    tau_0, applied twice; the top doubling of a xi degree, the largest even
+    shift at odd p, left out; or the slots widened one byte short."""
+    times = power_series._times_factors
+
+    def times_factors(x, w, n, shifts, bound):
+        if twice:
+            shifts = shifts + shifts[:1]
+        if short:
+            shifts = list(shifts)
+            shifts.remove(max(s for s in shifts if s % 2 == 0))
+        return times(x, w, n, shifts, bound >> 8 if narrow else bound)
+
+    return times_factors
+
+
 STEENROD_MUTANTS = {
     "reversed": (versal, "quotient_over_generators", _passes(reverse=True)),
     "flipped_sign": (versal, "quotient_over_generators", _passes(flip_sign=True)),
     "kinds_swapped": (versal, "quotient_over_generators", _lists_swapped),
     "milnor_kind": (versal, "milnor_degrees", _first_kind_swapped),
+    "factor_twice": (power_series, "_times_factors", _milnor_phase(twice=True)),
+    "doubling_short": (power_series, "_times_factors", _milnor_phase(short=True)),
+    "widening_short": (power_series, "_times_factors", _milnor_phase(narrow=True)),
 }
 
 
@@ -394,17 +421,43 @@ def test_the_unmutated_quotient_copy_is_the_kernel(p, n):
     assert _passes()(hom, *milnor) == quotient_over_generators(hom, *milnor)
 
 
-@pytest.mark.parametrize("p,n", [(2, 40), (3, 60)])
-@pytest.mark.parametrize("mutant", STEENROD_MUTANTS)
+# The quotient passes run at p = 2 and on the Euler path, p = 3 above N =
+# 799; below that, at odd p, the fold returns the quotient and applies the
+# Milnor factors last.  The slot bound of that last phase is within a byte of
+# the homology's largest coefficient only at some degrees, none at p = 3
+# below 800: at (5, 240) the slots widen from 2 to 3 bytes and the largest
+# coefficient takes 17 bits.
+@pytest.mark.parametrize("mutant,p,n", [
+    *((m, p, n) for m in ("reversed", "flipped_sign", "kinds_swapped")
+      for p, n in ((2, 40), (3, 800))),
+    ("milnor_kind", 2, 40), ("milnor_kind", 3, 60),
+    ("factor_twice", 3, 60), ("doubling_short", 3, 60), ("widening_short", 5, 240),
+])
 def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, mutant, p, n):
     owner, name, replacement = STEENROD_MUTANTS[mutant]
     monkeypatch.setattr(owner, name, replacement)
     assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
     out = capsys.readouterr().out
-    # The forward kernel of the identity does not run the inverse passes, so
-    # the identity sees their mutants; both sides read one pair of Milnor
-    # degree lists, so only the other checks see a wrong pair.
-    assert ("FAIL  tensor_identity" if name == "quotient_over_generators" else "FAIL") in out
+    # The forward kernel of the identity runs neither the inverse passes nor
+    # the fold's last phase, so the identity sees their mutants; both sides
+    # read one pair of Milnor degree lists, so only the other checks see a
+    # wrong pair.
+    assert ("FAIL" if name == "milnor_degrees" else "FAIL  tensor_identity") in out
+
+
+@pytest.mark.parametrize("mutant,p,n", [
+    ("factor_twice", 3, 60), ("doubling_short", 3, 60), ("widening_short", 5, 240),
+])
+def test_the_milnor_phase_mutants_change_only_the_homology(monkeypatch, mutant, p, n):
+    # Without the mutant the report holds; with it the homotopy series, read
+    # before the last phase, is the same and the homology is not.
+    milnor = milnor_degrees(p, n)
+    hom, quo = homology_series(p, n, over=milnor)
+    assert multiply_over_generators(quo, *milnor) == hom
+    owner, name, replacement = STEENROD_MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, replacement)
+    wrong, same = homology_series(p, n, over=milnor)
+    assert same == quo and wrong != hom
 
 
 def _forward(skip_class=False, block_offset=0, exterior_shift=0):

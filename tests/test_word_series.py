@@ -26,11 +26,19 @@ def test_word_series_is_the_generator_series(p, classes, n):
 
 
 def _fold_plus_one_at(degree):
-    def fold(polynomial, exterior):
-        c = list(_fold_counts(polynomial, exterior).coefficients)
+    """``_fold_counts`` with one class too many in ``degree`` of the series;
+    with ``over``, of the first series of the pair, the homology."""
+    def plus_one(series):
+        c = list(series.coefficients)
         if len(c) > degree:
             c[degree] += 1
         return TruncatedSeries(len(c) - 1, c)
+
+    def fold(polynomial, exterior, over=None):
+        if over is None:
+            return plus_one(_fold_counts(polynomial, exterior))
+        series, reduced = _fold_counts(polynomial, exterior, over)
+        return plus_one(series), reduced
     return fold
 
 
