@@ -10,11 +10,12 @@ mathematical verification fails.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import cache
+from itertools import chain
 
 from . import versal
 # bench/tracing.py wraps enumerate_generators and enumerate_monomials under
@@ -87,6 +88,12 @@ def _basis(r: Report, encode=str) -> Basis | None:
     return join
 
 
+def _rows(row: str, series: Sequence[int]) -> str:
+    """The lines ``row % (d, c)`` for each degree d and its coefficient c
+    in ``series``, formatted by one ``%`` over (0, c_0, 1, c_1, ...)."""
+    return row * len(series) % tuple(chain.from_iterable(enumerate(series)))
+
+
 def _csv(r: Report, basis: Basis | None) -> Iterator[str]:
     """Pieces of the CSV form in write order, header first, each line ending
     in its own newline; a listing writes each degree's rows, joined by
@@ -114,8 +121,7 @@ def _csv(r: Report, basis: Basis | None) -> Iterator[str]:
             if pieces:
                 yield from (f"{d},", *pieces, "\n")
     else:
-        yield "degree,coefficient\n"
-        yield from (f"{d},{c}\n" for d, c in enumerate(r.series))
+        yield from ("degree,coefficient\n", _rows("%d,%d\n", r.series))
 
 
 def _table(r: Report, basis: Basis | None) -> Iterator[str]:
@@ -133,8 +139,7 @@ def _table(r: Report, basis: Basis | None) -> Iterator[str]:
         for d, pieces in enumerate(basis(lambda d: ", ")):
             yield from (f"{d:>6}  ", *(pieces or ["-"]), "\n")
     else:
-        yield "degree  coefficient\n"
-        yield from (f"{d:>6}  {c}\n" for d, c in enumerate(r.series))
+        yield from ("degree  coefficient\n", _rows("%6d  %d\n", r.series))
         if r.homotopy is not None:
             first = r.homotopy.first_positive_nonzero_degree
             yield from (
@@ -305,58 +310,95 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; this tool reserves 2
-    for verification failures, so usage errors exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+FORMATS = ("table", "json", "csv")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="versalp", description=__doc__.splitlines()[0])
+@cache
+def _parser():
+    """The argparse parser, built on first use: importing argparse (and
+    through it gettext and locale) costs a launch milliseconds, and a
+    well-formed call needs none of it (``_parse``).  argparse exits with
+    status 2 on usage errors; this tool reserves 2 for verification
+    failures, so usage errors exit 1 instead."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="versalp", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--prime", type=int, help="required except for collision (p=2)")
     parser.add_argument("--max-degree", type=int, help="truncation degree, default 4(p-1)")
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    parser.add_argument("--format", choices=FORMATS, default="table")
     parser.add_argument("--output", help="path, default stdout")
     return parser
 
 
-# Built once: parse_args keeps no state between calls.
-_PARSER = _build_parser()
+_OPTIONS = frozenset(("--prime", "--max-degree", "--format", "--output"))
+
+
+def _parse(argv: Sequence[str]) -> tuple | None:
+    """(command, prime, max_degree, format, output) as ``_parser()``'s
+    ``parse_args`` gives them for an argv of the canonical shape: the
+    subcommand, then pairs of an option spelled out in full, each at most
+    once, and a value that is non-empty, does not start with ``-`` and
+    converts as the option's type and choices do.  None for every other
+    argv (help, abbreviations, ``--opt=value``, repeats, ``--``, negative
+    numbers, bad values), which only argparse parses, so that its help,
+    usage and error text stay the only ones."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    options = dict(zip(argv[1::2], argv[2::2]))
+    if (2 * len(options) != len(argv) - 1 or not options.keys() <= _OPTIONS
+            or any(not v or v[0] == "-" for v in options.values())):
+        return None
+    fmt = options.get("--format", "table")
+    if fmt not in FORMATS:
+        return None
+    prime, max_degree = options.get("--prime"), options.get("--max-degree")
+    try:
+        prime = None if prime is None else int(prime)
+        max_degree = None if max_degree is None else int(max_degree)
+    except ValueError:
+        return None
+    return argv[0], prime, max_degree, fmt, options.get("--output")
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parsed = _parse(argv)
+    if parsed is None:
+        args = _parser().parse_args(argv)
+        parsed = args.command, args.prime, args.max_degree, args.format, args.output
+    command, prime, max_degree, fmt, output = parsed
 
-    if args.prime is None:
-        if args.command != "collision":
-            _PARSER.error("the following arguments are required: --prime")
-        args.prime = 2
-    if args.prime >= PRIME_LIMIT:
-        _PARSER.error(f"--prime must be below {PRIME_LIMIT}, got {args.prime}")
-    if not is_prime(args.prime):
-        _PARSER.error(f"--prime must be prime, got {args.prime}")
-    if args.command == "collision" and args.prime != 2:
-        _PARSER.error("collision is a p=2 report")
-    if args.max_degree is not None and args.max_degree < 0:
-        _PARSER.error(f"--max-degree must be >= 0, got {args.max_degree}")
+    if prime is None:
+        if command != "collision":
+            _parser().error("the following arguments are required: --prime")
+        prime = 2
+    if prime >= PRIME_LIMIT:
+        _parser().error(f"--prime must be below {PRIME_LIMIT}, got {prime}")
+    if not is_prime(prime):
+        _parser().error(f"--prime must be prime, got {prime}")
+    if command == "collision" and prime != 2:
+        _parser().error("collision is a p=2 report")
+    if max_degree is not None and max_degree < 0:
+        _parser().error(f"--max-degree must be >= 0, got {max_degree}")
     # collision ignores the degree: its report is pinned at p = 2, degree 4
-    n = 4 * (args.prime - 1) if args.max_degree is None else args.max_degree
+    n = 4 * (prime - 1) if max_degree is None else max_degree
     # verify's fixed-scale checks read a report at 4(p-1) whatever the degree asked
-    top = max(n, 4 * (args.prime - 1)) if args.command == "verify" else n
-    if top > MAX_SERIES_DEGREE and args.command not in ("collision", "equivalences"):
-        _PARSER.error(
-            f"{args.command} through degree {top} is over the limit of {MAX_SERIES_DEGREE}"
-        )
-    if args.command == "hz-compare" and n < 2 * args.prime - 2:
-        _PARSER.error(f"hz-compare needs --max-degree >= {2 * args.prime - 2} at p={args.prime}")
+    top = max(n, 4 * (prime - 1)) if command == "verify" else n
+    if top > MAX_SERIES_DEGREE and command not in ("collision", "equivalences"):
+        _parser().error(f"{command} through degree {top} is over the limit of {MAX_SERIES_DEGREE}")
+    if command == "hz-compare" and n < 2 * prime - 2:
+        _parser().error(f"hz-compare needs --max-degree >= {2 * prime - 2} at p={prime}")
 
     try:
-        report = COMMANDS[args.command](args.prime, n)
-        parts = render(report, args.format)
+        report = COMMANDS[command](prime, n)
+        parts = render(report, fmt)
     except versal.VerificationError as exc:
         print(f"versalp: verification failed: {exc}", file=sys.stderr)
         return 2
@@ -365,14 +407,14 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 1
 
     try:
-        if args.output is None:
+        if output is None:
             _write_stdout(parts)
         else:
             # Binary, so no platform's newline translation touches the bytes.
-            with open(args.output, "wb") as fh:
+            with open(output, "wb") as fh:
                 fh.writelines(map(str.encode, parts))
     except OSError as exc:
-        target = "stdout" if args.output is None else args.output
+        target = "stdout" if output is None else output
         print(f"versalp: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 2 if report.failed else 0

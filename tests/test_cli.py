@@ -434,14 +434,35 @@ def test_output_to_a_full_device_exits_1():
     assert proc.stderr.decode() == f"versalp: error: cannot write /dev/full: {reason}\n"
 
 
+# Modules each of which costs every CLI launch milliseconds before any report.
+SLOW_IMPORTS = "{'argparse', 'dataclasses', 'gettext', 'inspect', 'json', 'typing'}"
+
+
 def test_cli_import_loads_no_dataclasses_json_or_typing():
-    # Each of these costs every CLI launch milliseconds before any report.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = ("import sys, versalp.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))")
+    code = f"import sys, versalp.cli; print(*sorted({SLOW_IMPORTS} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_a_canonical_report_loads_no_argparse_and_usage_errors_still_print_usage():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import sys, versalp.cli; "
+            "status = versalp.cli.main(['homology', '--prime', '3', '--format', 'csv']); "
+            f"print(status, *sorted({SLOW_IMPORTS} & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "0\n")
+    assert proc.stdout.startswith("degree,coefficient\n0,1\n1,1\n")
+    # A bad value argparse rejects, and a prime the direct parse passes on to main's checks.
+    for argv, message in ((["--prime", "x"], "argument --prime: invalid int value: 'x'"),
+                          (["--prime", "4"], "--prime must be prime, got 4")):
+        proc = subprocess.run([sys.executable, "-S", "-m", "versalp.cli", "homology", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("usage: versalp "), argv
+        assert proc.stderr.endswith(f"\nversalp: error: {message}\n"), argv
 
 
 def test_homotopy_table_snapshot(capsys):
@@ -927,6 +948,85 @@ def test_any_argv_exits_0_1_or_2(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# Tokens only argparse parses, added to ARGV_TOKENS: abbreviations, attached
+# values, values int() reads though they are not plain digits, and an int
+# over the 4,300 digits int() converts from a string (Python 3.11 and later).
+PARSE_TOKENS = [
+    *ARGV_TOKENS, "--output", "out.txt", "--pr", "--max", "--f", "--o", "--prime=3",
+    "--format=json", " 3 ", "1_0", "9" * 4301,
+]
+# Half the argvs are shaped like a call, most of their pairs an option and a
+# value of its type, so that the direct parse answers many.
+PARSE_ARGVS = st.one_of(
+    st.lists(st.sampled_from(PARSE_TOKENS), max_size=7),
+    st.builds(
+        lambda command, pairs: [command, *(t for pair in pairs for t in pair)],
+        st.sampled_from(list(cli.COMMANDS)),
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["--prime", "--max-degree"]),
+                          st.sampled_from(ARGV_INTEGERS)),
+                st.tuples(st.just("--format"), st.sampled_from(ARGV_FORMATS)),
+                st.tuples(st.just("--output"), st.just("out.txt")),
+                st.tuples(st.sampled_from(["--prime", "--max-degree", "--format", "--output",
+                                           "--pr", "--max", "--f", "--o"]),
+                          st.sampled_from(PARSE_TOKENS)),
+            ),
+            max_size=4,
+        ),
+    ),
+)
+
+
+def argparse_fields(argv):
+    """The fields ``cli.main`` reads from argparse's parse of ``argv``, or
+    the exit status argparse stops with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = cli._parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    return args.command, args.prime, args.max_degree, args.format, args.output
+
+
+@settings(deadline=None, max_examples=500)
+@given(PARSE_ARGVS)
+@example(["homology", "--prime", "3", "--max-degree", "8", "--format", "csv", "--output", "x"])
+@example(["homology", "--prime", " 3 ", "--max-degree", "1_0"])
+@example(["homology", "--prime", "3", "--max-degree", "9" * 4301])
+@example(["homology", "--prime", "junk", "--prime", "3"])
+@example(["homology", "--pr", "3", "--max=8", "--format=csv"])
+@example(["homology", "--prime", "3", "--output", ""])
+@example(["homology", "--prime", "3", "--output", "--"])
+@example(["homology", "--prime", "-1"])
+@example(["--prime", "3", "homology"])
+@example(["homology", "--", "--prime", "3"])
+@example(["homology", "-h"])
+def test_direct_parse_defers_or_gives_the_fields_argparse_gives(argv):
+    fields = cli._parse(argv)
+    if fields is not None:
+        assert fields == argparse_fields(argv), argv
+
+
+def test_forms_only_argparse_parses_write_the_canonical_bytes(capsys):
+    argv = ["homology", "--pr", "3", "--max=8", "--format=csv"]
+    assert cli._parse(argv) is None
+    assert run(capsys, *argv) == run(capsys, "homology", "--prime", "3", "--max-degree", "8",
+                                     "--format", "csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (0, cli._parser().format_help(), "")
+    assert out.startswith("usage: versalp ")
+
+
+@given(st.lists(st.one_of(st.integers(min_value=0), st.integers(2**64, 2**200))))
+def test_series_rows_equal_one_f_string_per_degree(series):
+    assert cli._rows("%6d  %d\n", series) == "".join(
+        f"{d:>6}  {c}\n" for d, c in enumerate(series))
+    assert cli._rows("%d,%d\n", series) == "".join(f"{d},{c}\n" for d, c in enumerate(series))
 
 
 # The sha256 of the exit status and stdout bytes of every subcommand at each
