@@ -159,14 +159,14 @@ def _kind(p: int, degree: int) -> str:
 
 def generator_series(p: int, gen_degrees: Sequence[int], max_degree: int,
                      over: tuple[Sequence[int], Sequence[int]] | None = None,
-                     ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries | None]:
+                     ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries]:
     """Dimension series of the free algebra on the generators over one class
     of each degree in ``gen_degrees`` (the union of their
     ``enumerate_generators`` sets): the generator counts per degree, summed
     over the classes, go into the fold (``power_series._fold_counts``) as
     they are, the odd degrees at odd p as exterior ones (``_kind``).  With
     ``over``, a pair of degree lists, it returns the fold's pair: the series
-    and the series over those degrees' factors, or None."""
+    and the series over those degrees' factors."""
     profiles = [generator_degree_counts(p, n, max_degree) for n in gen_degrees]
     if len(profiles) == 1:
         polynomial = profiles[0]

@@ -256,7 +256,7 @@ _DOUBLINGS_PER_BIT = 150
 
 def _fold_counts(polynomial: list[int], exterior: list[int],
                  over: tuple[Sequence[int], Sequence[int]] | None = None,
-                 ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries | None]:
+                 ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries]:
     """Dimension series, through degree N, of the free graded-commutative
     algebra with polynomial[d] polynomial and exterior[d] exterior
     generators of each degree d; both lists have length N + 1 and their
@@ -275,13 +275,14 @@ def _fold_counts(polynomial: list[int], exterior: list[int],
     test.  Otherwise the product is an Euler transform (``_fold_euler``),
     and the remainder check is that path's alone.
 
-    With ``over``, a pair (polynomial degrees, exterior degrees) each at
-    most N and none twice in a list, the result is the pair (series, series over ``over``): the
-    second is the series divided by prod_d 1/(1 - t^d) prod_e (1 + t^e)
-    over those degrees, read off the factor path before their factors are
-    applied, last, to the same integer.  It is None when the Euler path
-    runs, or when a degree of ``over`` holds no generator of its kind, as
-    the quotient is then no fold of counts.
+    With ``over``, a pair (polynomial degrees, exterior degrees) each in
+    1..N and none twice in a list, the result is the pair (series, series
+    over ``over``): the second is the series divided by prod_d 1/(1 - t^d)
+    prod_e (1 + t^e) over those degrees.  When the factor path runs and
+    every degree of ``over`` holds a generator of its kind, it is read off
+    that path before their factors are applied, last, to the same integer;
+    otherwise, as the quotient is then no fold of counts, it is
+    ``quotient_over_generators`` of the series.
 
     >>> _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0]).coefficients
     (1, 2, 4, 6, 8)
@@ -289,6 +290,10 @@ def _fold_counts(polynomial: list[int], exterior: list[int],
     [(1, 2, 4, 6, 8), (1, 1, 1, 1, 1)]
     """
     n = len(polynomial) - 1
+    if over is not None:
+        wrong = next((d for d in (*over[0], *over[1]) if not 1 <= d <= n), None)
+        if wrong is not None:
+            raise ValueError(f"generator degree must lie in 1..{n}, got {wrong}")
     limit = _DOUBLINGS_PER_BIT * n.bit_length()
     top, doublings = n // 2, 0
     while top and doublings <= limit:
@@ -300,7 +305,7 @@ def _fold_counts(polynomial: list[int], exterior: list[int],
         return _fold_factors(polynomial, exterior, over)
     else:
         series = _fold_factors(polynomial, exterior)
-    return series if over is None else (series, None)
+    return series if over is None else (series, quotient_over_generators(series, *over))
 
 
 def _fold_euler(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:

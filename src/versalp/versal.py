@@ -17,7 +17,7 @@ from .free_algebra import Monomial, enumerate_monomials
 # bench/tracing.py wraps series_of under this module's name.
 from .free_algebra import series_of  # noqa: F401
 from .power_series import TruncatedSeries, VerificationError, _sparse_product
-from .power_series import multiply_over_generators, quotient_over_generators
+from .power_series import multiply_over_generators
 from .primes import require_prime
 from .steenrod_dual import milnor_degrees
 from .value import Value
@@ -39,7 +39,7 @@ TOR_ASSUMPTION = (
 
 def homology_series(p: int, max_degree: int, *,
                     over: tuple[list[int], list[int]] | None = None,
-                    ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries | None]:
+                    ) -> TruncatedSeries | tuple[TruncatedSeries, TruncatedSeries]:
     """Mod-p homology dimension series, free over the Dyer-Lashof algebra
     on one degree-1 class.
 
@@ -47,7 +47,7 @@ def homology_series(p: int, max_degree: int, *,
     admissible words are counted per degree, never built, and the counts
     are folded into the series (``dyer_lashof.generator_series``).  With
     ``over``, the Milnor degrees (``milnor_degrees``), it returns the pair
-    (homology, homotopy series or None) of that fold (``homotopy_report``).
+    (homology, homotopy series) of that fold (``homotopy_report``).
     """
     return generator_series(p, (1,), max_degree, over)
 
@@ -83,35 +83,21 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     recorded, not raised.
 
     The dual Steenrod algebra is polynomial on the xi_i tensor exterior on
-    the tau_i (Milnor).  At odd p every Milnor degree holds a homology
-    generator of its kind, so on the fold's factor path the quotient is the
-    fold with one such generator per Milnor degree taken out, read before
-    their factors are applied last to give the homology
-    (``power_series._fold_factors``); the one ``homology_series`` call
-    returns both.  At p = 2, on the Euler path, or when a Milnor degree
-    holds no generator of its kind, the quotient undoes the factors of the
-    homology one at a time (``quotient_over_generators``), in O(N) each.
-    The ``tensor_identity`` outcome multiplies the quotient back by the
-    same factors with the forward kernel (``multiply_over_generators``),
-    which shares no pass with either, and compares every coefficient with
-    the homology.  Only the Milnor degrees (``milnor_degrees``) are shared
-    by both sides.
+    the tau_i (Milnor).  The one ``homology_series`` call over the Milnor
+    degrees returns the homology and the quotient; the fold decides how the
+    quotient is read (``power_series._fold_counts``).  The
+    ``tensor_identity`` outcome multiplies the quotient back by the same
+    factors with the forward kernel (``multiply_over_generators``), which
+    shares no pass with the fold or its quotient, and compares every
+    coefficient with the homology.  Only the Milnor degrees
+    (``milnor_degrees``) are shared by both sides.
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
     degree is in range.
     """
     milnor = milnor_degrees(p, max_degree)
-    # At p = 2 the split fold is no clear gain: at N = 150 it read from 6%
-    # faster to 7% slower than fold plus quotient, in process on a 2-core
-    # x86-64 under Python 3.11; its Milnor factors are 29 doublings there
-    # against the quotient's 7 passes.
-    if p == 2:
-        hom, quo = homology_series(p, max_degree), None
-    else:
-        hom, quo = homology_series(p, max_degree, over=milnor)
-    if quo is None:
-        quo = quotient_over_generators(hom, *milnor)
+    hom, quo = homology_series(p, max_degree, over=milnor)
     c = quo.coefficients
     top = 4 * (p - 1)
     gap = c[0] == 1 and not any(c[1:min(top, max_degree + 1)])

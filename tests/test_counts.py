@@ -5,8 +5,8 @@ naive factor products, the oracle's factor fold and each other (across every
 leaf boundary of the Euler transform, whose products are counted too), the
 rule that picks between them, and the packed product's headroom rule; the
 series the factor path reads before the factors of given degrees, against
-the quotient by them; and the homotopy quotient far above the enumeration
-oracles' degree caps."""
+the quotient by them, and where the fold divides instead; and the homotopy
+quotient far above the enumeration oracles' degree caps."""
 
 from math import comb
 
@@ -124,13 +124,14 @@ def test_the_fold_over_degrees_that_hold_a_generator_is_the_quotient(profile, da
     assert reduced == quotient_over_generators(series, *over)
 
 
-# verify runs each factor-path limit (p = 3 up to N = 799, p = 5 up to 2,911)
-# and p >= 7 up to the degree limit, 4,000, on the fold's pair.  Only in a
-# window of degrees at each p >= 5 must the last phase widen the slots before
-# its factors (p = 5: N = 227 to 257, 7: 351 to 409, 11: 603 to 681, 13: 723
-# to 817; none at p = 3), and one point of each window is here too.
-@pytest.mark.parametrize("p,n", [(3, 799), (5, 2911), (7, 4000), (11, 4000), (13, 4000),
-                                 (5, 240), (7, 380), (11, 640), (13, 770)])
+# verify runs each factor-path limit (p = 2 up to N = 157, p = 3 up to 799,
+# p = 5 up to 2,911) and p >= 7 up to the degree limit, 4,000, on the fold's
+# pair.  Only in a window of degrees at each p >= 5 must the last phase widen
+# the slots before its factors (p = 5: N = 227 to 257, 7: 351 to 409, 11: 603
+# to 681, 13: 723 to 817; none at p = 2 or 3), and one point of each window
+# is here too.
+@pytest.mark.parametrize("p,n", [(2, 157), (3, 799), (5, 2911), (7, 4000), (11, 4000),
+                                 (13, 4000), (5, 240), (7, 380), (11, 640), (13, 770)])
 def test_the_fold_reads_the_homotopy_quotient_before_the_milnor_factors(p, n):
     milnor = milnor_degrees(p, n)
     hom, quo = homology_series(p, n, over=milnor)
@@ -140,11 +141,13 @@ def test_the_fold_reads_the_homotopy_quotient_before_the_milnor_factors(p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 800), (5, 2912)])
 def test_the_euler_path_leaves_the_quotient_to_the_report(p, n):
+    # On the Euler path the fold divides its own series.
     milnor = milnor_degrees(p, n)
     hom, quo = homology_series(p, n, over=milnor)
-    assert hom == homology_series(p, n) and quo is None
+    assert hom == homology_series(p, n)
+    assert quo == quotient_over_generators(hom, *milnor)
     report = homotopy_report(p, n)
-    assert report.homotopy_series == quotient_over_generators(hom, *milnor)
+    assert report.homotopy_series == quo
     assert report.tensor_identity
 
 
@@ -154,30 +157,63 @@ def test_a_milnor_degree_with_no_generator_of_its_kind_falls_back_to_the_quotien
     polynomial, exterior = [0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0, 0, 0, 0]
     for over in (([2, 4], [1]), ([2], [1, 2])):
         series, reduced = _fold_counts(polynomial, exterior, over)
-        assert series == _fold_counts(polynomial, exterior) and reduced is None, over
+        assert series == _fold_counts(polynomial, exterior), over
+        assert reduced == quotient_over_generators(series, *over), over
     # At p = 3 tau_0 and xi_1 sit in degrees 1 and 4; with the degree-4
-    # generator taken out of the counts the report divides instead.
-    counts = dyer_lashof.generator_degree_counts
-
-    def without_degree_4(p, gen_degree, max_degree):
-        c = counts(p, gen_degree, max_degree)
-        c[4] = 0
-        return c
-
-    quotient, divided = versal.quotient_over_generators, []
-
-    def spy(series, xi, tau):
-        divided.append((xi, tau))
-        return quotient(series, xi, tau)
-
-    monkeypatch.setattr(dyer_lashof, "generator_degree_counts", without_degree_4)
-    monkeypatch.setattr(versal, "quotient_over_generators", spy)
+    # generator taken out of the counts the fold divides instead (counted in
+    # test_the_report_divides_only_where_the_fold_cannot_split).
+    monkeypatch.setattr(dyer_lashof, "generator_degree_counts", _without_degree_4)
     report = homotopy_report(3, 60)
     milnor = milnor_degrees(3, 60)
-    assert divided == [milnor]
     assert report.homology_series.coefficient(4) == 0
-    assert report.homotopy_series == quotient(report.homology_series, *milnor)
+    assert report.homotopy_series == quotient_over_generators(report.homology_series, *milnor)
     assert report.tensor_identity
+
+
+def _without_degree_4(p, gen_degree, max_degree):
+    """``generator_degree_counts`` with no generator in degree 4."""
+    c = generator_degree_counts(p, gen_degree, max_degree)
+    c[4] = 0
+    return c
+
+
+def quotients_taken(monkeypatch):
+    """The (polynomial, exterior) degree lists of each call the fold makes
+    to ``quotient_over_generators`` from now on."""
+    divided = []
+
+    def spy(series, polynomial, exterior):
+        divided.append((polynomial, exterior))
+        return quotient_over_generators(series, polynomial, exterior)
+
+    monkeypatch.setattr(power_series, "quotient_over_generators", spy)
+    return divided
+
+
+# A report divides, in the fold, only where the fold cannot read the
+# quotient off the factor path: on the Euler path (p = 2 above N = 157, p = 3
+# above 799, p = 5 above 2,911), or when a Milnor degree holds no generator
+# of its kind.
+@pytest.mark.parametrize("p,n,calls", [
+    (2, 157, 0), (3, 799, 0), (5, 2911, 0), (7, 4000, 0),
+    (2, 158, 1), (3, 800, 1), (5, 2912, 1), (3, 60, 1),
+])
+def test_the_report_divides_only_where_the_fold_cannot_split(monkeypatch, p, n, calls):
+    if (p, n) == (3, 60):
+        monkeypatch.setattr(dyer_lashof, "generator_degree_counts", _without_degree_4)
+    divided = quotients_taken(monkeypatch)
+    homotopy_report(p, n)
+    assert divided == [milnor_degrees(p, n)] * calls
+
+
+# A degree of ``over`` outside 1..N names no factor of the fold: one above N
+# would index past the count arrays, and -1 would read degree N.
+@pytest.mark.parametrize("n,over,degree", [
+    (40, ([500], []), 500), (41, ([], [-1]), -1), (40, ([0], []), 0),
+], ids=["above_n", "minus_one", "zero"])
+def test_the_fold_rejects_a_degree_outside_1_to_n(n, over, degree):
+    with pytest.raises(ValueError, match=rf"generator degree must lie in 1\.\.{n}, got {degree}$"):
+        homology_series(3, n, over=over)
 
 
 def _profile(p, n, gen_degrees=(1,)):

@@ -90,26 +90,25 @@ def test_homotopy_truncated_below_the_gap():
 
 
 def test_homotopy_negative_coefficient_aborts(monkeypatch):
-    quotient = versal.quotient_over_generators
+    homology = versal.homology_series
 
-    def one_negative_at_the_top(series, polynomial, exterior):
-        c = quotient(series, polynomial, exterior).coefficients
-        return TruncatedSeries(len(c) - 1, c[:-1] + (-1,))
+    def one_negative_at_the_top(p, max_degree, *, over):
+        hom, quo = homology(p, max_degree, over=over)
+        c = quo.coefficients
+        return hom, TruncatedSeries(len(c) - 1, c[:-1] + (-1,))
 
-    monkeypatch.setattr(versal, "quotient_over_generators", one_negative_at_the_top)
+    monkeypatch.setattr(versal, "homology_series", one_negative_at_the_top)
     with pytest.raises(VerificationError, match="negative homotopy dimension -1 in degree 4"):
         versal.homotopy_series(2, 4)
 
 
 def _one_too_many_at_the_top(length=None):
     """``versal.homology_series`` whose homotopy series, the second of the
-    pair it returns at odd p, has one class too many in its top degree,
-    when it has ``length`` coefficients or for any length."""
+    pair it returns over the Milnor degrees, has one class too many in its
+    top degree, when it has ``length`` coefficients or for any length."""
     homology = versal.homology_series
 
-    def split(p, max_degree, *, over=None):
-        if over is None:
-            return homology(p, max_degree)
+    def split(p, max_degree, *, over):
         hom, quo = homology(p, max_degree, over=over)
         c = quo.coefficients
         if length is None or len(c) == length:
@@ -389,8 +388,9 @@ def _first_kind_swapped(p, n):
 def _milnor_phase(twice=False, short=False, narrow=False):
     """``power_series._times_factors``, the Milnor factors applied last on
     the fold's factor path, with one fault: the first factor, (1 + t) for
-    tau_0, applied twice; the top doubling of a xi degree, the largest even
-    shift at odd p, left out; or the slots widened one byte short."""
+    tau_0 at odd p and xi_1 at p = 2, applied twice; the top doubling of a
+    xi degree, the largest even shift, left out; or the slots widened one
+    byte short."""
     times = power_series._times_factors
 
     def times_factors(x, w, n, shifts, bound):
@@ -405,9 +405,9 @@ def _milnor_phase(twice=False, short=False, narrow=False):
 
 
 STEENROD_MUTANTS = {
-    "reversed": (versal, "quotient_over_generators", _passes(reverse=True)),
-    "flipped_sign": (versal, "quotient_over_generators", _passes(flip_sign=True)),
-    "kinds_swapped": (versal, "quotient_over_generators", _lists_swapped),
+    "reversed": (power_series, "quotient_over_generators", _passes(reverse=True)),
+    "flipped_sign": (power_series, "quotient_over_generators", _passes(flip_sign=True)),
+    "kinds_swapped": (power_series, "quotient_over_generators", _lists_swapped),
     "milnor_kind": (versal, "milnor_degrees", _first_kind_swapped),
     "factor_twice": (power_series, "_times_factors", _milnor_phase(twice=True)),
     "doubling_short": (power_series, "_times_factors", _milnor_phase(short=True)),
@@ -421,17 +421,18 @@ def test_the_unmutated_quotient_copy_is_the_kernel(p, n):
     assert _passes()(hom, *milnor) == quotient_over_generators(hom, *milnor)
 
 
-# The quotient passes run at p = 2 and on the Euler path, p = 3 above N =
-# 799; below that, at odd p, the fold returns the quotient and applies the
-# Milnor factors last.  The slot bound of that last phase is within a byte of
-# the homology's largest coefficient only at some degrees, none at p = 3
-# below 800: at (5, 240) the slots widen from 2 to 3 bytes and the largest
-# coefficient takes 17 bits.
+# The quotient passes run on the Euler path, p = 2 above N = 157 and p = 3
+# above 799; below that the fold returns the quotient and applies the Milnor
+# factors last.  The slot bound of that last phase is within a byte of the
+# homology's largest coefficient only at some degrees, none at p = 2 below
+# 158 or p = 3 below 800: at (5, 240) the slots widen from 2 to 3 bytes and
+# the largest coefficient takes 17 bits.
 @pytest.mark.parametrize("mutant,p,n", [
     *((m, p, n) for m in ("reversed", "flipped_sign", "kinds_swapped")
-      for p, n in ((2, 40), (3, 800))),
+      for p, n in ((2, 158), (3, 800))),
     ("milnor_kind", 2, 40), ("milnor_kind", 3, 60),
-    ("factor_twice", 3, 60), ("doubling_short", 3, 60), ("widening_short", 5, 240),
+    *((m, p, n) for m in ("factor_twice", "doubling_short") for p, n in ((2, 40), (3, 60))),
+    ("widening_short", 5, 240),
 ])
 def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, mutant, p, n):
     owner, name, replacement = STEENROD_MUTANTS[mutant]
@@ -446,7 +447,8 @@ def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("mutant,p,n", [
-    ("factor_twice", 3, 60), ("doubling_short", 3, 60), ("widening_short", 5, 240),
+    *((m, p, n) for m in ("factor_twice", "doubling_short") for p, n in ((2, 40), (3, 60))),
+    ("widening_short", 5, 240),
 ])
 def test_the_milnor_phase_mutants_change_only_the_homology(monkeypatch, mutant, p, n):
     # Without the mutant the report holds; with it the homotopy series, read
