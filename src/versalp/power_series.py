@@ -198,13 +198,12 @@ def _check_degrees(polynomial: Sequence[int], exterior: Sequence[int]) -> None:
 def multiply_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
                              exterior: Sequence[int]) -> TruncatedSeries:
     """``series`` times prod_d 1/(1 - t^d) over the ``polynomial`` degrees
-    and prod_e (1 + t^e) over the ``exterior`` ones: the forward twin of
-    ``quotient_over_generators``, sharing no pass with it.  A factor
-    1/(1 - t^d) is a prefix sum along each residue class mod d, one
-    ``accumulate`` per class when d*d <= N, else each block of d terms added
-    onto the one below, so at most sqrt(N) steps in Python; a factor
-    (1 + t^e) is one shifted add.  Both leave the series as it is when the
-    degree is above N."""
+    and prod_e (1 + t^e) over the ``exterior`` ones, sharing no pass with
+    the fold's last phase (``_times_factors``).  A factor 1/(1 - t^d) is a
+    prefix sum along each residue class mod d, one ``accumulate`` per class
+    when d*d <= N, else each block of d terms added onto the one below, so
+    at most sqrt(N) steps in Python; a factor (1 + t^e) is one shifted add.
+    Both leave the series as it is when the degree is above N."""
     _check_degrees(polynomial, exterior)
     c = list(series.coefficients)
     n = len(c) - 1
@@ -217,29 +216,6 @@ def multiply_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
                 c[k:k + d] = map(add, c[k:k + d], c[k - d:k])
     for e in exterior:
         c[e:] = map(add, c[e:], c[:-e])
-    return TruncatedSeries(n, tuple(c))
-
-
-def quotient_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
-                             exterior: Sequence[int]) -> TruncatedSeries:
-    """``series`` divided by ``multiply_over_generators(1, polynomial,
-    exterior)``, its exact inverse with the same validation: each degree
-    d <= N undone by one O(N) pass of ``c[i] -= c[i - d]``, top down for a
-    polynomial one, a product by (1 - t^d), bottom up for an exterior one,
-    a division by (1 + t^d), whose terms see new ones.
-
-    >>> quotient_over_generators(TruncatedSeries(4, (1, 1, 2, 2, 2)), [1], [2]).coefficients
-    (1, 0, 0, 0, 0)
-    """
-    _check_degrees(polynomial, exterior)
-    c = list(series.coefficients)
-    n = len(c) - 1
-    for d in polynomial:
-        for i in range(n, d - 1, -1):
-            c[i] -= c[i - d]
-    for e in exterior:
-        for i in range(e, n + 1):
-            c[i] -= c[i - e]
     return TruncatedSeries(n, tuple(c))
 
 
@@ -276,13 +252,14 @@ def _fold_counts(polynomial: list[int], exterior: list[int],
     and the remainder check is that path's alone.
 
     With ``over``, a pair (polynomial degrees, exterior degrees) each in
-    1..N and none twice in a list, the result is the pair (series, series
-    over ``over``): the second is the series divided by prod_d 1/(1 - t^d)
-    prod_e (1 + t^e) over those degrees.  When the factor path runs and
-    every degree of ``over`` holds a generator of its kind, it is read off
-    that path before their factors are applied, last, to the same integer;
-    otherwise, as the quotient is then no fold of counts, it is
-    ``quotient_over_generators`` of the series.
+    1..N (else ValueError), the result is the pair (series, series over
+    ``over``): the second is the series divided by prod_d 1/(1 - t^d)
+    prod_e (1 + t^e) over those degrees.  The path is picked from the full
+    counts; then one generator of its kind is taken out of the counts for
+    each listed degree, two for a degree listed twice, and a count that
+    would go below zero raises VerificationError.  The path folds the
+    reduced counts into the second series, and ``_times_factors`` applies
+    the factors of ``over`` to it last, which gives the first.
 
     >>> _fold_counts([0, 2, 0, 0, 0], [0, 0, 1, 0, 0]).coefficients
     (1, 2, 4, 6, 8)
@@ -290,22 +267,26 @@ def _fold_counts(polynomial: list[int], exterior: list[int],
     [(1, 2, 4, 6, 8), (1, 1, 1, 1, 1)]
     """
     n = len(polynomial) - 1
-    if over is not None:
-        wrong = next((d for d in (*over[0], *over[1]) if not 1 <= d <= n), None)
-        if wrong is not None:
-            raise ValueError(f"generator degree must lie in 1..{n}, got {wrong}")
     limit = _DOUBLINGS_PER_BIT * n.bit_length()
     top, doublings = n // 2, 0
     while top and doublings <= limit:
         doublings += sum(polynomial[1:top + 1])
         top //= 2
-    if doublings > limit:
-        series = _fold_euler(polynomial, exterior)
-    elif over and all(polynomial[d] for d in over[0]) and all(exterior[d] for d in over[1]):
+    if over is not None:
+        polynomial, exterior = list(polynomial), list(exterior)
+        for counts, degrees, kind in ((polynomial, over[0], "polynomial"),
+                                      (exterior, over[1], "exterior")):
+            for d in degrees:
+                if not 1 <= d <= n:
+                    raise ValueError(f"generator degree must lie in 1..{n}, got {d}")
+                if not counts[d]:
+                    raise VerificationError(f"no {kind} generator left in degree {d} "
+                                            "to take out of the counts")
+                counts[d] -= 1
+    if doublings <= limit:
         return _fold_factors(polynomial, exterior, over)
-    else:
-        series = _fold_factors(polynomial, exterior)
-    return series if over is None else (series, quotient_over_generators(series, *over))
+    series = _fold_euler(polynomial, exterior)
+    return series if over is None else _times_factors(0, 0, series.coefficients, over)
 
 
 def _fold_euler(polynomial: list[int], exterior: list[int]) -> TruncatedSeries:
@@ -357,24 +338,15 @@ def _fold_factors(polynomial: list[int], exterior: list[int],
     group lowers a slot, so each is exact and leaves every slot below
     2^(8w - 1).
 
-    With ``over`` = (xi, tau), which ``_fold_counts`` hands on only when
-    every degree in it holds a generator of its kind, one factor 1 + t^s
-    is taken out of e_s for each of ``_shifts(xi, tau, N)`` before the band,
-    and the slots read after the groups are the series over those
-    factors.  With m its largest coefficient, every slot of the product is
-    at most m times the number of monomials in those generators of degree
-    at most N, so at most m prod_d (N // d + 1) 2^|tau|; ``_times_factors``
-    widens the slots to that bound once, then applies the factors, and the
-    pair of both reads is returned."""
+    With ``over``, whose degrees ``_fold_counts`` has taken out of the
+    counts, the slots read after the groups are the second series of the
+    pair, and ``_times_factors`` applies the factors of ``over`` to x
+    itself for the first."""
     n = len(polynomial) - 1
     third = n // 3
     e = list(exterior)
     for j in range(n.bit_length()):
         e[::1 << j] = map(add, e[::1 << j], polynomial)
-    if over is not None:
-        shifts = _shifts(*over, n)
-        for s in shifts:
-            e[s] -= 1
     band = e[third + 1:]
     w = max(2, ((max(band, default=0) * sum(band)).bit_length() + 8) // 8)
     full = (1 << 8 * w * (n + 1)) - 1
@@ -404,13 +376,8 @@ def _fold_factors(polynomial: list[int], exterior: list[int],
         else:
             for _ in range(k):
                 x += (x << shift) & full
-    if over is None:
-        return TruncatedSeries(n, _unpack(x, w, n + 1))
-    xi, tau = over
-    reduced = _unpack(x, w, n + 1)
-    bound = max(reduced) * prod(n // d + 1 for d in xi) << len(tau)
-    x, w = _times_factors(x, w, n, shifts, bound)
-    return TruncatedSeries(n, _unpack(x, w, n + 1)), TruncatedSeries(n, reduced)
+    series = _unpack(x, w, n + 1)
+    return TruncatedSeries(n, series) if over is None else _times_factors(x, w, series, over)
 
 
 def _shifts(polynomial: Sequence[int], exterior: Sequence[int], n: int) -> list[int]:
@@ -425,18 +392,28 @@ def _shifts(polynomial: Sequence[int], exterior: Sequence[int], n: int) -> list[
     return sorted(doublings + list(exterior))
 
 
-def _times_factors(x: int, w: int, n: int, shifts: Sequence[int], bound: int) -> tuple[int, int]:
-    """(y, v): y, in n + 1 slots of v bytes, is x, n + 1 slots of w bytes,
-    times prod_s (1 + t^s) over ``shifts`` through degree n.  The slots
-    widen first, to the bytes that ``bound`` takes, when that is more than
-    w; ``bound`` must bound every slot of y, so that no shift-add carries."""
+def _times_factors(x: int, w: int, reduced: Sequence[int],
+                   over: tuple[Sequence[int], Sequence[int]],
+                   ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(series, reduced): ``reduced``, through its degree n, times
+    prod_d 1/(1 - t^d) prod_e (1 + t^e) over ``over`` = (xi, tau), one
+    masked shift-add per factor 1 + t^s of ``_shifts``, in ascending order.
+
+    x holds ``reduced`` in slots of w bytes, or w is 0.  With m the largest
+    coefficient of ``reduced``, every slot of the product is at most m times
+    the number of monomials in those generators of degree at most n, so at
+    most m prod_d (n // d + 1) 2^|tau|.  When that bound takes more than w
+    bytes, ``reduced`` is packed once at its width, so no shift-add carries."""
+    n = len(reduced) - 1
+    xi, tau = over
+    bound = max(reduced) * prod(n // d + 1 for d in xi) << len(tau)
     v = (bound.bit_length() + 7) // 8
     if v > w:
-        x, w = int.from_bytes(_padded(x, w, n + 1, v), "little"), v
+        x, w = _pack(reduced, v), v
     full = (1 << 8 * w * (n + 1)) - 1
-    for s in shifts:
+    for s in _shifts(xi, tau, n):
         x += (x << 8 * w * s) & full
-    return x, w
+    return TruncatedSeries(n, _unpack(x, w, n + 1)), TruncatedSeries(n, reduced)
 
 
 def _sparse_product(

@@ -84,13 +84,14 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
 
     The dual Steenrod algebra is polynomial on the xi_i tensor exterior on
     the tau_i (Milnor).  The one ``homology_series`` call over the Milnor
-    degrees returns the homology and the quotient; the fold decides how the
-    quotient is read (``power_series._fold_counts``).  The
-    ``tensor_identity`` outcome multiplies the quotient back by the same
-    factors with the forward kernel (``multiply_over_generators``), which
-    shares no pass with the fold or its quotient, and compares every
-    coefficient with the homology.  Only the Milnor degrees
-    (``milnor_degrees``) are shared by both sides.
+    degrees returns the homology and the quotient: on either path the fold
+    takes one generator per Milnor degree out of the counts, reads the
+    quotient, and applies the Milnor factors last for the homology
+    (``power_series._fold_counts``).  The ``tensor_identity`` outcome
+    multiplies the quotient back by the same factors with the forward
+    kernel (``multiply_over_generators``), which shares no pass with the
+    fold's last phase, and compares every coefficient with the homology.
+    Only the Milnor degrees (``milnor_degrees``) are shared by both sides.
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that

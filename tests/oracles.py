@@ -7,10 +7,11 @@ separate admissibility check and excess, words are rendered and given their
 degree by functions written apart from the package's, and monomial
 listing tries every exponent vector and filters, Milnor generator degrees
 are found by testing every degree for membership; CSV is written by the
-standard library's ``csv`` writer from a report's fields.  Two quadratic algorithms
+standard library's ``csv`` writer from a report's fields.  Three algorithms
 the package once used serve as references at degrees in the thousands,
-where the naive ones cannot go: dynamic programs that count generator words
-per degree, and a fold of generator counts factor by factor.
+where the naive ones cannot go: quadratic dynamic programs that count
+generator words per degree, a quadratic fold of generator counts factor by
+factor, and the quotient by given factors, one O(N) pass per degree.
 
 ``thh_generators`` alone calls the package: it builds the THH generator set
 from the package's own words, for the tests that recount THH by listing its
@@ -258,6 +259,28 @@ def factor_fold(triples, n):
             for _ in range(b):
                 for i in range(n, d - 1, -1):
                     c[i] += c[i - d]
+    return c
+
+
+def quotient_over_generators(c, polynomial, exterior):
+    """Coefficients of the series with coefficient list ``c`` divided by
+    prod_d 1/(1 - t^d) over the ``polynomial`` degrees and prod_e (1 + t^e)
+    over the ``exterior`` ones: each degree d <= n undone by one pass of
+    c[i] -= c[i - d], top down for a polynomial one, a product by
+    (1 - t^d), bottom up for an exterior one, a division by (1 + t^d),
+    whose terms see new ones.
+
+    >>> quotient_over_generators([1, 1, 2, 2, 2], [1], [2])
+    [1, 0, 0, 0, 0]
+    """
+    c = list(c)
+    n = len(c) - 1
+    for d in polynomial:
+        for i in range(n, d - 1, -1):
+            c[i] -= c[i - d]
+    for e in exterior:
+        for i in range(e, n + 1):
+            c[i] -= c[i - e]
     return c
 
 

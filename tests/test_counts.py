@@ -4,9 +4,10 @@ Euler transform and the packed product of factors grouped by shift, against
 naive factor products, the oracle's factor fold and each other (across every
 leaf boundary of the Euler transform, whose products are counted too), the
 rule that picks between them, and the packed product's headroom rule; the
-series the factor path reads before the factors of given degrees, against
-the quotient by them, and where the fold divides instead; and the homotopy
-quotient far above the enumeration oracles' degree caps."""
+series either path reads from the counts with given degrees taken out,
+before their factors, against the quotient by them, and the fold's refusal
+when a degree holds too few generators; and the homotopy quotient far above
+the enumeration oracles' degree caps."""
 
 from math import comb
 
@@ -17,13 +18,13 @@ from versalp import cli, dyer_lashof, power_series, versal
 from versalp.dyer_lashof import generator_degree_counts, generator_series, generator_words
 from versalp.power_series import (
     TruncatedSeries, VerificationError, _fold_counts, _fold_euler, _fold_factors,
-    quotient_over_generators,
 )
 from versalp.steenrod_dual import milnor_degrees
 from versalp.versal import homology_series, homotopy_report, homotopy_series, steenrod_series
 
 from oracles import (
-    dp_degree_counts, factor_fold, milnor_degrees_by_membership, naive_series, word_degree,
+    dp_degree_counts, factor_fold, milnor_degrees_by_membership, naive_series,
+    quotient_over_generators, trial_division_is_prime, word_degree,
 )
 
 
@@ -43,13 +44,26 @@ def test_counts_equal_the_dynamic_program_at_degree_1000(p, gen_degree):
     assert generator_degree_counts(p, gen_degree, 1000) == dp_degree_counts(p, gen_degree, 1000)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+# Every prime below 2,010: above 2,003 the only Milnor degree up to the
+# CLI's limit, 4,000, is tau_0 = 1, which a fills.
+@pytest.mark.parametrize("p", filter(trial_division_is_prime, range(2010)))
 def test_every_milnor_degree_has_a_generator_of_its_kind(p):
     # Taking one generator away at each Milnor degree leaves no count
-    # negative, so the homotopy quotient is the fold of the reduced counts.
+    # negative, so no report reaches the fold's refusal.
     counts = {(d, kind): b for d, kind, b in _profile(p, 4000)}
-    for d, kind in milnor_degrees_by_membership(p, 4000):
+    if p <= 13:
+        milnor = milnor_degrees_by_membership(p, 4000)
+    else:
+        xi, tau = milnor_degrees(p, 4000)
+        milnor = [(d, "polynomial") for d in xi] + [(d, "exterior") for d in tau]
+    for d, kind in milnor:
         assert counts.get((d, kind), 0) >= 1, (d, kind)
+
+
+@pytest.mark.parametrize("p", [2011, 1_000_003])
+def test_above_2003_a_fills_the_only_milnor_degree_up_to_4000(p):
+    assert milnor_degrees(p, 4000) == ([], [1])
+    assert generator_degree_counts(p, 1, 4000)[1] == 1
 
 
 def test_counts_reject_what_the_words_reject():
@@ -113,15 +127,49 @@ def test_fold_equals_naive_product_of_expanded_factors(profile):
 @given(count_profile(), st.data())
 @example((12, [(1, "exterior", 3), (2, "polynomial", 2), (5, "polynomial", 1)]), None)
 def test_the_fold_over_degrees_that_hold_a_generator_is_the_quotient(profile, data):
-    # Any degrees that hold a generator of their kind, at most one of each
-    # kind per degree: the series read before their factors is the quotient.
+    # Any degrees that hold a generator of their kind, each listed at most as
+    # often as it holds one: the series read before their factors is the
+    # quotient.
     n, triples = profile
-    held = sorted({(d, kind) for d, kind, b in triples if b and d <= n})
-    chosen = data.draw(st.lists(st.sampled_from(held), unique=True)) if data and held else held
-    over = tuple([d for d, kind in chosen if kind == k] for k in ("polynomial", "exterior"))
+    pool = sorted((d, kind) for d, kind, b in triples if d <= n for _ in range(b))
+    if data and pool:
+        picks = data.draw(st.lists(st.sampled_from(range(len(pool))), unique=True))
+        pool = [pool[i] for i in picks]
+    over = tuple([d for d, kind in pool if kind == k] for k in ("polynomial", "exterior"))
     series, reduced = fold(triples, n, lambda *arrays: _fold_counts(*arrays, over))
     assert series == fold(triples, n)
-    assert reduced == quotient_over_generators(series, *over)
+    assert list(reduced.coefficients) == quotient_over_generators(series.coefficients, *over)
+
+
+# Arrays from test_the_rule_counts_the_doublings_up_to_n_over_2, one on each
+# side of the rule: a degree listed twice takes two generators out of the
+# counts, and with one generator too few the fold refuses.
+@pytest.mark.parametrize("extra,path", [(0, "factors"), (1, "euler")])
+def test_a_degree_listed_twice_takes_out_two_generators(monkeypatch, extra, path):
+    polynomial, exterior = [0] * 11, [0] * 11
+    polynomial[1], polynomial[2], polynomial[3], polynomial[6] = 198, 2, 2 + extra, 50
+    exterior[1], exterior[5] = 400, 50
+    over = ([1, 1, 3, 6], [5, 5, 1])
+    taken, (series, reduced) = kernel_taken(
+        monkeypatch, lambda: _fold_counts(polynomial, exterior, over))
+    assert taken == [path]
+    assert series == _fold_counts(polynomial, exterior)
+    assert list(reduced.coefficients) == quotient_over_generators(series.coefficients, *over)
+    exterior[5] = 1
+    with pytest.raises(VerificationError, match="^no exterior generator left in degree 5 "):
+        _fold_counts(polynomial, exterior, over)
+
+
+def test_a_degree_listed_twice_needs_two_generators():
+    # One polynomial generator of degree 1 at p = 2 (a), two with the double
+    # of a degree-1 class.
+    with pytest.raises(VerificationError, match="^no polynomial generator left in degree 1 "):
+        homology_series(2, 8, over=([1, 1], []))
+    polynomial, exterior = [0, 2] + [0] * 7, [0] * 9
+    series, reduced = _fold_counts(polynomial, exterior, ([1, 1], []))
+    assert series.coefficients == tuple(range(1, 10))
+    assert reduced == TruncatedSeries.one(8)
+    assert list(reduced.coefficients) == quotient_over_generators(series.coefficients, [1, 1], [])
 
 
 # verify runs each factor-path limit (p = 2 up to N = 157, p = 3 up to 799,
@@ -129,45 +177,35 @@ def test_the_fold_over_degrees_that_hold_a_generator_is_the_quotient(profile, da
 # pair.  Only in a window of degrees at each p >= 5 must the last phase widen
 # the slots before its factors (p = 5: N = 227 to 257, 7: 351 to 409, 11: 603
 # to 681, 13: 723 to 817; none at p = 2 or 3), and one point of each window
-# is here too.
+# is here too.  Above each limit the Euler path folds the same reduced counts
+# (test_the_report_folds_once_on_either_side_of_each_switch).
 @pytest.mark.parametrize("p,n", [(2, 157), (3, 799), (5, 2911), (7, 4000), (11, 4000),
                                  (13, 4000), (5, 240), (7, 380), (11, 640), (13, 770)])
 def test_the_fold_reads_the_homotopy_quotient_before_the_milnor_factors(p, n):
     milnor = milnor_degrees(p, n)
     hom, quo = homology_series(p, n, over=milnor)
     assert hom == homology_series(p, n)
-    assert quo == quotient_over_generators(hom, *milnor)
+    assert list(quo.coefficients) == quotient_over_generators(hom.coefficients, *milnor)
 
 
-@pytest.mark.parametrize("p,n", [(3, 800), (5, 2912)])
-def test_the_euler_path_leaves_the_quotient_to_the_report(p, n):
-    # On the Euler path the fold divides its own series.
-    milnor = milnor_degrees(p, n)
-    hom, quo = homology_series(p, n, over=milnor)
-    assert hom == homology_series(p, n)
-    assert quo == quotient_over_generators(hom, *milnor)
-    report = homotopy_report(p, n)
-    assert report.homotopy_series == quo
-    assert report.tensor_identity
-
-
-def test_a_milnor_degree_with_no_generator_of_its_kind_falls_back_to_the_quotient(monkeypatch):
+def test_a_milnor_degree_with_no_generator_of_its_kind_aborts_the_report(monkeypatch, capsys):
     # Degree 4 holds two exterior generators and no polynomial one, degree 2
     # a polynomial one and no exterior one.
     polynomial, exterior = [0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0, 0, 0, 0]
-    for over in (([2, 4], [1]), ([2], [1, 2])):
-        series, reduced = _fold_counts(polynomial, exterior, over)
-        assert series == _fold_counts(polynomial, exterior), over
-        assert reduced == quotient_over_generators(series, *over), over
+    for over, kind, d in ((([2, 4], [1]), "polynomial", 4), (([2], [1, 2]), "exterior", 2)):
+        with pytest.raises(VerificationError, match=f"^no {kind} generator left in degree {d} "):
+            _fold_counts(polynomial, exterior, over)
     # At p = 3 tau_0 and xi_1 sit in degrees 1 and 4; with the degree-4
-    # generator taken out of the counts the fold divides instead (counted in
-    # test_the_report_divides_only_where_the_fold_cannot_split).
+    # generator taken out of the counts the fold refuses the report, and the
+    # CLI says so on one line.
     monkeypatch.setattr(dyer_lashof, "generator_degree_counts", _without_degree_4)
-    report = homotopy_report(3, 60)
-    milnor = milnor_degrees(3, 60)
-    assert report.homology_series.coefficient(4) == 0
-    assert report.homotopy_series == quotient_over_generators(report.homology_series, *milnor)
-    assert report.tensor_identity
+    with pytest.raises(VerificationError, match="^no polynomial generator left in degree 4 "):
+        homotopy_report(3, 60)
+    assert cli.main(["verify", "--prime", "3", "--max-degree", "60"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("versalp: verification failed: no polynomial generator left in degree 4 "
+                   "to take out of the counts\n")
 
 
 def _without_degree_4(p, gen_degree, max_degree):
@@ -177,33 +215,19 @@ def _without_degree_4(p, gen_degree, max_degree):
     return c
 
 
-def quotients_taken(monkeypatch):
-    """The (polynomial, exterior) degree lists of each call the fold makes
-    to ``quotient_over_generators`` from now on."""
-    divided = []
-
-    def spy(series, polynomial, exterior):
-        divided.append((polynomial, exterior))
-        return quotient_over_generators(series, polynomial, exterior)
-
-    monkeypatch.setattr(power_series, "quotient_over_generators", spy)
-    return divided
-
-
-# A report divides, in the fold, only where the fold cannot read the
-# quotient off the factor path: on the Euler path (p = 2 above N = 157, p = 3
-# above 799, p = 5 above 2,911), or when a Milnor degree holds no generator
-# of its kind.
-@pytest.mark.parametrize("p,n,calls", [
-    (2, 157, 0), (3, 799, 0), (5, 2911, 0), (7, 4000, 0),
-    (2, 158, 1), (3, 800, 1), (5, 2912, 1), (3, 60, 1),
+# A report folds once, on the path the full counts pick, on each side of each
+# switch (p = 2 above N = 157, p = 3 above 799, p = 5 above 2,911).
+@pytest.mark.parametrize("p,n,path", [
+    (2, 157, "factors"), (3, 799, "factors"), (5, 2911, "factors"), (7, 4000, "factors"),
+    (2, 158, "euler"), (3, 800, "euler"), (5, 2912, "euler"),
 ])
-def test_the_report_divides_only_where_the_fold_cannot_split(monkeypatch, p, n, calls):
-    if (p, n) == (3, 60):
-        monkeypatch.setattr(dyer_lashof, "generator_degree_counts", _without_degree_4)
-    divided = quotients_taken(monkeypatch)
-    homotopy_report(p, n)
-    assert divided == [milnor_degrees(p, n)] * calls
+def test_the_report_folds_once_on_either_side_of_each_switch(monkeypatch, p, n, path):
+    taken, report = kernel_taken(monkeypatch, lambda: homotopy_report(p, n))
+    assert taken == [path]
+    milnor = milnor_degrees(p, n)
+    assert list(report.homotopy_series.coefficients) == quotient_over_generators(
+        report.homology_series.coefficients, *milnor)
+    assert report.tensor_identity
 
 
 # A degree of ``over`` outside 1..N names no factor of the fold: one above N

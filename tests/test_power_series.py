@@ -6,13 +6,9 @@ from hypothesis import example, given, strategies as st
 
 from versalp import power_series
 from versalp.free_algebra import KINDS, Generator, GeneratorSet, product_over_generators
-from versalp.power_series import (
-    TruncatedSeries,
-    multiply_over_generators,
-    quotient_over_generators,
-)
+from versalp.power_series import TruncatedSeries, multiply_over_generators
 
-from oracles import factor_fold, naive_factor, naive_mul, naive_series
+from oracles import factor_fold, naive_factor, naive_mul, naive_series, quotient_over_generators
 
 
 def series(coeffs, n):
@@ -256,18 +252,21 @@ def test_quotient_over_generators_is_division_by_their_product(profile, data):
     expected = num.div(product_over_generators(GeneratorSet(tuple(gens)), n))
     for listing in (gens, order):
         lists = _by_kind([(g.degree, g.kind) for g in listing])
-        assert quotient_over_generators(num, *lists) == expected
+        assert quotient_over_generators(num.coefficients, *lists) == list(expected.coefficients)
 
 
 def test_quotient_rejects_what_the_product_rejects():
-    # Validation comes before the skip of a degree above the truncation degree.
+    # Validation comes before the skip of a degree above the truncation
+    # degree.  The quotient is the fold's second series, which names the
+    # first degree outside 1..N: there a degree above N names no factor.
     for polynomial, exterior in (
         ([0], []), ([], [0]), ([9, -1], []), ([], [2, 9, 0]), ([9], [-3]), ([0, 1], [1]),
     ):
         message = f"generator degree must be >= 1, got {min(polynomial + exterior)}"
-        for kernel in (multiply_over_generators, quotient_over_generators):
-            with pytest.raises(ValueError, match=message):
-                kernel(TruncatedSeries.one(4), polynomial, exterior)
+        with pytest.raises(ValueError, match=message):
+            multiply_over_generators(TruncatedSeries.one(4), polynomial, exterior)
+        with pytest.raises(ValueError, match=r"^generator degree must lie in 1\.\.4, got "):
+            power_series._fold_counts([0, 1, 1, 1, 1], [0, 1, 1, 1, 1], (polynomial, exterior))
         stubs = ([_Stub(d, "polynomial") for d in polynomial]
                  + [_Stub(d, "exterior") for d in exterior])
         with pytest.raises(ValueError, match=message):

@@ -1,16 +1,13 @@
 from itertools import accumulate
+from math import comb, prod
 from operator import add
 
 import pytest
 
-from versalp import cli, power_series, versal
+from versalp import cli, dyer_lashof, power_series, versal
 from versalp.dyer_lashof import enumerate_generators, generator_series
 from versalp.free_algebra import Generator, GeneratorSet, enumerate_monomials
-from versalp.power_series import (
-    TruncatedSeries,
-    multiply_over_generators,
-    quotient_over_generators,
-)
+from versalp.power_series import TruncatedSeries, multiply_over_generators
 from versalp.steenrod_dual import milnor_degrees, milnor_generator_degrees
 from versalp.versal import (
     VerificationError,
@@ -27,7 +24,7 @@ from versalp.versal import (
     verification_battery,
 )
 
-from oracles import naive_mul, thh_generators
+from oracles import naive_mul, quotient_over_generators, thh_generators
 
 
 def test_homology_series_examples():
@@ -356,28 +353,6 @@ def test_cotangent_shift_fails_when_the_suspension_shifts_nothing(monkeypatch, n
     assert verdict.detail == "equals t * homotopy"
 
 
-def _passes(flip_sign=False, reverse=False):
-    """``quotient_over_generators`` with its sign flipped or the direction
-    of every pass reversed."""
-    def quotient(series, polynomial, exterior):
-        c = list(series.coefficients)
-        n = len(c) - 1
-        sign = 1 if flip_sign else -1
-        for degrees, bottom_up in ((polynomial, reverse), (exterior, not reverse)):
-            for d in degrees:
-                for i in range(d, n + 1) if bottom_up else range(n, d - 1, -1):
-                    c[i] += sign * c[i - d]
-        return TruncatedSeries(n, tuple(c))
-    return quotient
-
-
-def _lists_swapped(series, polynomial, exterior):
-    """The real ``quotient_over_generators`` with the two lists swapped.
-    There the list only picks the pass direction, so this computes what the
-    reversed mutant does, through the real code."""
-    return quotient_over_generators(series, exterior, polynomial)
-
-
 def _first_kind_swapped(p, n):
     """``milnor_degrees`` with its first degree, xi_1 at p = 2 and tau_0 at
     odd p, moved to the other list."""
@@ -385,69 +360,105 @@ def _first_kind_swapped(p, n):
     return (xi[1:], [xi[0], *tau]) if p == 2 else ([tau[0], *xi], tau[1:])
 
 
-def _milnor_phase(twice=False, short=False, narrow=False):
-    """``power_series._times_factors``, the Milnor factors applied last on
-    the fold's factor path, with one fault: the first factor, (1 + t) for
-    tau_0 at odd p and xi_1 at p = 2, applied twice; the top doubling of a
-    xi degree, the largest even shift, left out; or the slots widened one
-    byte short."""
-    times = power_series._times_factors
+def _first_xi_kept(polynomial, exterior, over=None):
+    """``power_series._fold_counts`` with the first xi degree of ``over``
+    left in the counts: one generator more there is one taken out less."""
+    if over is not None:
+        polynomial = list(polynomial)
+        polynomial[over[0][0]] += 1
+    return power_series._fold_counts(polynomial, exterior, over)
 
-    def times_factors(x, w, n, shifts, bound):
+
+def _milnor_phase(twice=False, short=False, narrow=False, early=False):
+    """A copy of ``power_series._times_factors``, the Milnor factors applied
+    last on both fold paths, with one fault: the first factor, (1 + t) for
+    tau_0 at odd p and xi_1 at p = 2, applied twice; the top doubling of a
+    xi degree, the largest even shift, left out; the slots one byte short of
+    the bound, where the Euler path packs its series or the factor path
+    widens; or the reduced series read after the factors, not before."""
+    def times_factors(x, w, reduced, over):
+        n = len(reduced) - 1
+        xi, tau = over
+        bound = max(reduced) * prod(n // d + 1 for d in xi) << len(tau)
+        v = (bound.bit_length() + 7) // 8 - narrow
+        if v > w:
+            x, w = power_series._pack(reduced, v), v
+        shifts = power_series._shifts(xi, tau, n)
         if twice:
             shifts = shifts + shifts[:1]
         if short:
-            shifts = list(shifts)
             shifts.remove(max(s for s in shifts if s % 2 == 0))
-        return times(x, w, n, shifts, bound >> 8 if narrow else bound)
+        full = (1 << 8 * w * (n + 1)) - 1
+        for s in shifts:
+            x += (x << 8 * w * s) & full
+        series = TruncatedSeries(n, power_series._unpack(x, w, n + 1))
+        return series, series if early else TruncatedSeries(n, reduced)
 
     return times_factors
 
 
+# (owner, name, replacement, what verify shows): a FAIL line on stdout, or
+# the one stderr line of a report the fold refuses.
 STEENROD_MUTANTS = {
-    "reversed": (power_series, "quotient_over_generators", _passes(reverse=True)),
-    "flipped_sign": (power_series, "quotient_over_generators", _passes(flip_sign=True)),
-    "kinds_swapped": (power_series, "quotient_over_generators", _lists_swapped),
-    "milnor_kind": (versal, "milnor_degrees", _first_kind_swapped),
-    "factor_twice": (power_series, "_times_factors", _milnor_phase(twice=True)),
-    "doubling_short": (power_series, "_times_factors", _milnor_phase(short=True)),
-    "widening_short": (power_series, "_times_factors", _milnor_phase(narrow=True)),
+    "milnor_kind": (versal, "milnor_degrees", _first_kind_swapped,
+                    "versalp: verification failed: no "),
+    "factor_twice": (power_series, "_times_factors", _milnor_phase(twice=True),
+                     "FAIL  tensor_identity"),
+    "doubling_short": (power_series, "_times_factors", _milnor_phase(short=True),
+                       "FAIL  tensor_identity"),
+    "widening_short": (power_series, "_times_factors", _milnor_phase(narrow=True),
+                       "FAIL  tensor_identity"),
+    "factors_first": (power_series, "_times_factors", _milnor_phase(early=True),
+                      "FAIL  tensor_identity"),
+    "xi_kept": (dyer_lashof, "_fold_counts", _first_xi_kept, "FAIL  gap"),
 }
 
 
-@pytest.mark.parametrize("p,n", [(2, 40), (3, 60)])
-def test_the_unmutated_quotient_copy_is_the_kernel(p, n):
-    hom, milnor = homology_series(p, n), milnor_degrees(p, n)
-    assert _passes()(hom, *milnor) == quotient_over_generators(hom, *milnor)
+# Both sides of the switch from the factor path to the Euler path, p = 2
+# above N = 157 and p = 3 above 799, on the copy the mutants are made from.
+@pytest.mark.parametrize("p,n", [(2, 40), (3, 60), (2, 158), (3, 800)])
+def test_the_unmutated_milnor_phase_copy_is_the_kernel(monkeypatch, p, n):
+    milnor = milnor_degrees(p, n)
+    expected = homology_series(p, n, over=milnor)
+    monkeypatch.setattr(power_series, "_times_factors", _milnor_phase())
+    assert homology_series(p, n, over=milnor) == expected
+    assert list(expected[1].coefficients) == quotient_over_generators(
+        expected[0].coefficients, *milnor)
 
 
-# The quotient passes run on the Euler path, p = 2 above N = 157 and p = 3
-# above 799; below that the fold returns the quotient and applies the Milnor
-# factors last.  The slot bound of that last phase is within a byte of the
-# homology's largest coefficient only at some degrees, none at p = 2 below
-# 158 or p = 3 below 800: at (5, 240) the slots widen from 2 to 3 bytes and
-# the largest coefficient takes 17 bits.
+# Every mutant but widening_short runs on both sides of the switch.  The
+# bound of the last phase is within a byte of the homology's largest
+# coefficient only at some degrees: none on the factor path at p = 2 below
+# 158 or p = 3 below 800, and none on the Euler path at p = 2 up to N = 699,
+# p = 3 up to 1,399 or p = 5 up to 3,099.  At (5, 240) the factor path's
+# slots widen from 2 to 3 bytes and the largest coefficient takes 17 bits;
+# test_the_euler_path_packs_at_the_bound kills it on the Euler path.
 @pytest.mark.parametrize("mutant,p,n", [
-    *((m, p, n) for m in ("reversed", "flipped_sign", "kinds_swapped")
-      for p, n in ((2, 158), (3, 800))),
     ("milnor_kind", 2, 40), ("milnor_kind", 3, 60),
-    *((m, p, n) for m in ("factor_twice", "doubling_short") for p, n in ((2, 40), (3, 60))),
+    *((m, p, n) for m in ("factor_twice", "doubling_short", "factors_first", "xi_kept")
+      for p, n in ((2, 40), (3, 60), (2, 158), (3, 800))),
     ("widening_short", 5, 240),
 ])
 def test_verify_fails_under_mutants_of_the_steenrod_passes(monkeypatch, capsys, mutant, p, n):
-    owner, name, replacement = STEENROD_MUTANTS[mutant]
+    owner, name, replacement, shown = STEENROD_MUTANTS[mutant]
     monkeypatch.setattr(owner, name, replacement)
     assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
-    out = capsys.readouterr().out
-    # The forward kernel of the identity runs neither the inverse passes nor
-    # the fold's last phase, so the identity sees their mutants; both sides
-    # read one pair of Milnor degree lists, so only the other checks see a
-    # wrong pair.
-    assert ("FAIL" if name == "milnor_degrees" else "FAIL  tensor_identity") in out
+    out, err = capsys.readouterr()
+    # The forward kernel of the identity shares no pass with the fold's last
+    # phase, so the identity sees its mutants.  One Milnor degree left in
+    # the counts leaves the pair consistent, and the gap check sees the class
+    # it leaves in the homotopy series.  A Milnor degree moved to the other
+    # list names no generator of its kind, and the fold refuses the report.
+    if name == "milnor_degrees":
+        assert out == "" and err.count("\n") == 1 and err.startswith(shown), err
+        assert "generator left in degree 1 to take out of the counts" in err
+    else:
+        assert shown in out
 
 
 @pytest.mark.parametrize("mutant,p,n", [
-    *((m, p, n) for m in ("factor_twice", "doubling_short") for p, n in ((2, 40), (3, 60))),
+    *((m, p, n) for m in ("factor_twice", "doubling_short")
+      for p, n in ((2, 40), (3, 60), (2, 158), (3, 800))),
     ("widening_short", 5, 240),
 ])
 def test_the_milnor_phase_mutants_change_only_the_homology(monkeypatch, mutant, p, n):
@@ -456,10 +467,25 @@ def test_the_milnor_phase_mutants_change_only_the_homology(monkeypatch, mutant, 
     milnor = milnor_degrees(p, n)
     hom, quo = homology_series(p, n, over=milnor)
     assert multiply_over_generators(quo, *milnor) == hom
-    owner, name, replacement = STEENROD_MUTANTS[mutant]
+    owner, name, replacement, _ = STEENROD_MUTANTS[mutant]
     monkeypatch.setattr(owner, name, replacement)
     wrong, same = homology_series(p, n, over=milnor)
     assert same == quo and wrong != hom
+
+
+def test_the_euler_path_packs_at_the_bound(monkeypatch):
+    # 216 polynomial generators of degree 1 through N = 10 make 648
+    # doublings, above the 600 of the Euler path.  With one taken out the
+    # top coefficient C(224, 10) takes 56 bits, times 11 the bound 60, so 8
+    # bytes; the product's top coefficient C(225, 10) takes 57 bits, and
+    # 7-byte slots carry.
+    polynomial, exterior, over = [0, 216] + [0] * 9, [0] * 11, ([1], [])
+    series, reduced = power_series._fold_counts(polynomial, exterior, over)
+    assert series.coefficients == tuple(comb(215 + k, k) for k in range(11))
+    assert list(reduced.coefficients) == quotient_over_generators(series.coefficients, *over)
+    monkeypatch.setattr(power_series, "_times_factors", _milnor_phase(narrow=True))
+    wrong, same = power_series._fold_counts(polynomial, exterior, over)
+    assert same == reduced and wrong != series
 
 
 def _forward(skip_class=False, block_offset=0, exterior_shift=0):
