@@ -188,7 +188,21 @@ def test_the_fold_reads_the_homotopy_quotient_before_the_milnor_factors(p, n):
     assert list(quo.coefficients) == quotient_over_generators(hom.coefficients, *milnor)
 
 
-def test_a_milnor_degree_with_no_generator_of_its_kind_aborts_the_report(monkeypatch, capsys):
+@pytest.mark.parametrize("p,n", [(3, 800), (5, 2912)])
+def test_the_euler_path_leaves_the_quotient_to_the_report(monkeypatch, p, n):
+    # On the Euler path the fold reads the quotient off the reduced counts
+    # in one Euler transform, and the report takes it as it stands.
+    milnor = milnor_degrees(p, n)
+    taken, (hom, quo) = kernel_taken(monkeypatch, lambda: homology_series(p, n, over=milnor))
+    assert taken == ["euler"]
+    assert hom == homology_series(p, n)
+    assert list(quo.coefficients) == quotient_over_generators(hom.coefficients, *milnor)
+    report = homotopy_report(p, n)
+    assert report.homotopy_series == quo
+    assert report.tensor_identity
+
+
+def test_a_milnor_degree_with_no_generator_of_its_kind_aborts_the_report(monkeypatch):
     # Degree 4 holds two exterior generators and no polynomial one, degree 2
     # a polynomial one and no exterior one.
     polynomial, exterior = [0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 0, 0, 0, 0]
@@ -196,11 +210,15 @@ def test_a_milnor_degree_with_no_generator_of_its_kind_aborts_the_report(monkeyp
         with pytest.raises(VerificationError, match=f"^no {kind} generator left in degree {d} "):
             _fold_counts(polynomial, exterior, over)
     # At p = 3 tau_0 and xi_1 sit in degrees 1 and 4; with the degree-4
-    # generator taken out of the counts the fold refuses the report, and the
-    # CLI says so on one line.
+    # generator taken out of the counts the fold refuses the report.
     monkeypatch.setattr(dyer_lashof, "generator_degree_counts", _without_degree_4)
     with pytest.raises(VerificationError, match="^no polynomial generator left in degree 4 "):
         homotopy_report(3, 60)
+
+
+def test_the_cli_exits_2_on_a_milnor_degree_with_no_generator_of_its_kind(monkeypatch, capsys):
+    # The report of the test above, through the CLI: exit 2 and one line.
+    monkeypatch.setattr(dyer_lashof, "generator_degree_counts", _without_degree_4)
     assert cli.main(["verify", "--prime", "3", "--max-degree", "60"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
