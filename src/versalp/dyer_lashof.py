@@ -181,7 +181,7 @@ def generator_series(p: int, gen_degrees: Sequence[int], max_degree: int,
 def _word_series(p: int, gen_degrees: Sequence[int], max_degree: int) -> TruncatedSeries:
     """``generator_series`` recounted from the words: one generator per word of
     ``_raw_words`` over each class, of the kind ``_kind`` gives its degree, by
-    the forward kernel, sharing no pass with the closed-form counts or fold."""
+    the forward list kernel, sharing no pass with the closed-form counts or fold."""
     degrees = [n + wdeg for n in gen_degrees for wdeg, _ in _raw_words(p, n, max_degree)]
     polynomial = [d for d in degrees if _kind(p, d) == POLYNOMIAL]
     exterior = [d for d in degrees if _kind(p, d) == EXTERIOR]

@@ -8,6 +8,7 @@ loudly instead of silently re-truncating.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, repeat
 from math import comb, prod
@@ -167,8 +168,31 @@ def _offsets(count: int, w: int, bits: int = 1) -> int:
     return int.from_bytes(slot.to_bytes(w, "little") * count, "little")
 
 
+# The ``array`` typecode of each unsigned word size, in bytes, on this host.
+_WORDS = {array(code).itemsize: code for code in "BHILQ"}
+
+
 def _pack(coeffs: Iterable[int], w: int) -> int:
-    """sum(c_i 2^(8 w i)) for 0 <= c_i < 2^(8w), one slot of w bytes each."""
+    """sum(c_i 2^(8 w i)) for 0 <= c_i < 2^(8w), one slot of w bytes each;
+    OverflowError for any other c_i.  On a little-endian host, slots of up
+    to 8 bytes take one ``array`` conversion at the narrowest word of at
+    least w bytes (1, 2, 4 or 8), which refuses a c_i that its word does
+    not hold; when the word is wider than w, the high bytes of every word
+    must be zero and w strided slice copies narrow the words to slots.
+    Wider slots, or a big-endian host, take one ``int.to_bytes`` per slot."""
+    code = _WORDS.get(1 << (w - 1).bit_length())
+    if code and byteorder == "little":
+        words = array(code, coeffs)
+        size, words = words.itemsize, words.tobytes()
+        if w < size:
+            for k in range(w, size):
+                if words[k::size].lstrip(b"\0"):
+                    raise OverflowError("int too big to convert")
+            raw = bytearray(len(words) // size * w)
+            for k in range(w):
+                raw[k::w] = words[k::size]
+            words = raw
+        return int.from_bytes(words, "little")
     return int.from_bytes(
         b"".join(map(int.to_bytes, coeffs, repeat(w), repeat("little"))), "little"
     )
@@ -198,8 +222,10 @@ def _check_degrees(polynomial: Sequence[int], exterior: Sequence[int]) -> None:
 def multiply_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
                              exterior: Sequence[int]) -> TruncatedSeries:
     """``series`` times prod_d 1/(1 - t^d) over the ``polynomial`` degrees
-    and prod_e (1 + t^e) over the ``exterior`` ones, sharing no pass with
-    the fold's last phase (``_times_factors``).  A factor 1/(1 - t^d) is a
+    and prod_e (1 + t^e) over the ``exterior`` ones, on a list, not a packed
+    integer: the kernel of the word recounts (``dyer_lashof._word_series``)
+    and of ``free_algebra.product_over_generators``, sharing no pass with the
+    fold or with ``cleared_identity``.  A factor 1/(1 - t^d) is a
     prefix sum along each residue class mod d, one ``accumulate`` per class
     when d*d <= N, else each block of d terms added onto the one below, so
     at most sqrt(N) steps in Python; a factor (1 + t^e) is one shifted add.
@@ -217,6 +243,54 @@ def multiply_over_generators(series: TruncatedSeries, polynomial: Sequence[int],
     for e in exterior:
         c[e:] = map(add, c[e:], c[:-e])
     return TruncatedSeries(n, tuple(c))
+
+
+def cleared_identity(series: TruncatedSeries, quotient: TruncatedSeries,
+                     polynomial: Sequence[int], exterior: Sequence[int]) -> bool:
+    """Whether ``series`` == ``quotient`` prod_d 1/(1 - t^d) prod_e (1 + t^e)
+    over the ``polynomial`` and ``exterior`` degrees through degree N, the
+    product ``multiply_over_generators`` gives, decided with the
+    denominators cleared: series prod_d (1 - t^d) == quotient
+    prod_e (1 + t^e), which is the same identity since each 1 - t^d is a
+    unit.
+
+    Each side is one integer with a slot of w bytes per degree, X = 2^(8w)
+    (``_pack``, or ``_pack_signed`` when it has a negative coefficient), and
+    takes one masked shift-subtract per polynomial degree or one masked
+    shift-add per exterior degree, each exact modulo M = X^(N + 1); the two
+    integers are then compared modulo M.  A factor at most doubles the
+    largest |coefficient| of its side, so with w the fewest bytes for which
+    X > 2^|polynomial| max|series| + 2^|exterior| max|quotient|, every
+    coefficient delta_i of the difference of the sides has |delta_i| < X.
+    Then sum delta_i X^i is divisible by M only if every delta_i is 0, since
+    the lowest nonzero one would have to be divisible by X.  A degree above
+    N leaves its side as it is.
+
+    >>> f = TruncatedSeries.from_coefficients([1, 2, 2, 2], 3)
+    >>> cleared_identity(f, TruncatedSeries.one(3), [1], [1])
+    True
+    >>> cleared_identity(f, TruncatedSeries.one(3), [1], [2])
+    False
+    """
+    series._check_compatible(quotient)
+    _check_degrees(polynomial, exterior)
+    s, q = series.coefficients, quotient.coefficients
+    n = len(s) - 1
+    low_s, low_q = min(s), min(q)
+    bound = (max(max(s), -low_s) << len(polynomial)) + (max(max(q), -low_q) << len(exterior))
+    # A signed side takes one bit more, so its |c| < 2^(8w - 1) as
+    # ``_pack_signed`` asks.
+    w = max(1, (bound.bit_length() + (min(low_s, low_q) < 0) + 7) // 8)
+    x = _pack_signed(s, w) if low_s < 0 else _pack(s, w)
+    y = _pack_signed(q, w) if low_q < 0 else _pack(q, w)
+    full = (1 << 8 * w * (n + 1)) - 1
+    for d in polynomial:
+        if d <= n:
+            x -= (x << 8 * w * d) & full
+    for e in exterior:
+        if e <= n:
+            y += (y << 8 * w * e) & full
+    return not (x - y) & full
 
 
 # ``_fold_factors`` runs while the polynomial generators' factors

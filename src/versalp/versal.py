@@ -16,8 +16,7 @@ from .dyer_lashof import _word_series, enumerate_generators, generator_series
 from .free_algebra import Monomial, enumerate_monomials
 # bench/tracing.py wraps series_of under this module's name.
 from .free_algebra import series_of  # noqa: F401
-from .power_series import TruncatedSeries, VerificationError, _sparse_product
-from .power_series import multiply_over_generators
+from .power_series import TruncatedSeries, VerificationError, _sparse_product, cleared_identity
 from .primes import require_prime
 from .steenrod_dual import milnor_degrees
 from .value import Value
@@ -88,10 +87,12 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     takes one generator per Milnor degree out of the counts, reads the
     quotient, and applies the Milnor factors last for the homology
     (``power_series._fold_counts``).  The ``tensor_identity`` outcome
-    multiplies the quotient back by the same factors with the forward
-    kernel (``multiply_over_generators``), which shares no pass with the
-    fold's last phase, and compares every coefficient with the homology.
-    Only the Milnor degrees (``milnor_degrees``) are shared by both sides.
+    checks that the homology is the quotient times those factors with the
+    denominators cleared (``power_series.cleared_identity``): the homology
+    times prod (1 - t^d) over the xi degrees against the quotient times
+    prod (1 + t^e) over the tau degrees, every coefficient, on two packed
+    integers that share no pass with the fold's last phase.  Only the
+    Milnor degrees (``milnor_degrees``) are shared by both sides.
 
     ``gap_verified`` records whether the coefficients are 1 at degree 0,
     vanish strictly between 0 and 4(p-1), and equal 1 at 4(p-1) when that
@@ -104,7 +105,7 @@ def homotopy_report(p: int, max_degree: int) -> HomotopyReport:
     gap = c[0] == 1 and not any(c[1:min(top, max_degree + 1)])
     gap = gap and (max_degree < top or c[top] == 1)
     first = next((d for d in range(1, max_degree + 1) if c[d]), None)
-    identity = multiply_over_generators(quo, *milnor) == hom
+    identity = cleared_identity(hom, quo, *milnor)
     return HomotopyReport(p, max_degree, hom, quo, gap, first, min(c) >= 0, identity)
 
 
@@ -127,8 +128,9 @@ def _checked(report: HomotopyReport) -> HomotopyReport:
 def homotopy_series(p: int, max_degree: int) -> HomotopyReport:
     """Homotopy dimension series as the quotient homology / dual Steenrod.
 
-    The quotient is checked for nonnegativity and multiplied back against
-    the denominator; a failure raises VerificationError.
+    The quotient is checked for nonnegativity and, with the denominators
+    cleared, against the homology (``homotopy_report``); a failure raises
+    VerificationError.
     """
     return _checked(homotopy_report(p, max_degree))
 

@@ -318,6 +318,88 @@ def test_unpack_reads_back_the_slots_pack_writes(w):
 
 
 @st.composite
+def pack_slots(draw):
+    """A slot width of 1 to 9 bytes and 0, 1 or 40 coefficients that fit
+    it, mostly 0 or all ones."""
+    w = draw(st.integers(1, 9))
+    top = (1 << 8 * w) - 1
+    count = draw(st.sampled_from([0, 1, 40]))
+    slot = st.sampled_from([0, top]) | st.integers(0, top)
+    return w, draw(st.lists(slot, min_size=count, max_size=count))
+
+
+# A big-endian host takes the int.to_bytes branch at every width; here
+# ``byteorder`` is patched to run it on a little-endian one.
+@given(pack_slots(), st.sampled_from(["little", "big"]), st.booleans())
+def test_pack_writes_the_bytes_of_to_bytes(slots, order, as_map):
+    w, coeffs = slots
+    expected = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(power_series, "byteorder", order)
+        assert power_series._pack(map(int, coeffs) if as_map else coeffs, w) == expected
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("w", range(1, 10))
+def test_pack_refuses_a_coefficient_outside_its_slot(monkeypatch, w, order):
+    monkeypatch.setattr(power_series, "byteorder", order)
+    for bad in (1 << 8 * w, -1):
+        for coeffs in ([bad], [0, (1 << 8 * w) - 1, bad, 1]):
+            with pytest.raises(OverflowError):
+                power_series._pack(coeffs, w)
+
+
+@st.composite
+def identity_pairs(draw):
+    """(series, quotient, polynomial, exterior): a quotient of truncation
+    degree N with coefficients of up to 3, 20, 70 or 140 bits, signed or
+    not; generator degrees of either kind, some above N; and the series
+    ``multiply_over_generators`` makes of them, changed in up to two
+    degrees by +-256^j, some followed by -+1 in the next degree, which is
+    one carry in slots of j bytes."""
+    n = draw(st.integers(0, 30))
+    top = 1 << draw(st.sampled_from([3, 20, 70, 140]))
+    low = draw(st.sampled_from([0, -top]))
+    quotient = TruncatedSeries(n, draw(st.lists(st.integers(low, top),
+                                                min_size=n + 1, max_size=n + 1)))
+    degrees = st.lists(st.integers(1, n + 3), max_size=5)
+    polynomial, exterior = draw(degrees), draw(degrees)
+    c = list(multiply_over_generators(quotient, polynomial, exterior).coefficients)
+    for _ in range(draw(st.integers(0, 2))):
+        k, sign = draw(st.integers(0, n)), draw(st.sampled_from([1, -1]))
+        c[k] += sign << 8 * draw(st.integers(0, 18))
+        if k < n and draw(st.booleans()):
+            c[k + 1] -= sign
+    return TruncatedSeries(n, tuple(c)), quotient, polynomial, exterior
+
+
+@given(identity_pairs())
+@example((series([5], 0), series([5], 0), [], []))
+@example((series([5], 0), series([5], 0), [1], [1, 2]))
+@example((series([1, 2, 3, 4], 3), series([1, 2, 3, 4], 3), [], []))
+@example((series([1, 2, 3, 5], 3), series([1, 2, 3, 4], 3), [], [4, 5]))
+@example((series([1, 1, 1, 1], 3), series([1], 3), [1], [7]))
+@example((series([-(2**70), 1, 1 - 2**70], 2), series([-(2**70), 1 + 2**70, -(2**70)], 2), [1], []))
+# Each side one carry out of the top slot at widths that leave out its
+# factors or its sign bit: 8 factors take 32 to 256 = 2^8 in degree 1,
+# and 128 in a signed side needs a ninth bit.
+@example((series([-32, 0], 1), series([-32, 0], 1), [], [1] * 8))
+@example((series([32, 0], 1), series([32, 0], 1), [1] * 8, []))
+@example((series([128, -1], 1), series([0], 1), [], []))
+def test_cleared_identity_agrees_with_the_list_kernel(pair):
+    s, quotient, polynomial, exterior = pair
+    expected = multiply_over_generators(quotient, polynomial, exterior).coefficients == s.coefficients
+    assert power_series.cleared_identity(s, quotient, polynomial, exterior) == expected
+
+
+def test_cleared_identity_rejects_what_the_list_kernel_rejects():
+    with pytest.raises(ValueError, match="mismatched truncation degrees 3 and 4"):
+        power_series.cleared_identity(series([1], 3), series([1], 4), [], [])
+    with pytest.raises(ValueError, match="generator degree must be >= 1, got 0"):
+        power_series.cleared_identity(series([1], 3), series([1], 3), [2], [0])
+
+
+@st.composite
 def sparse_terms(draw):
     """A truncation degree N and one to three (starts, polynomial degrees,
     exterior degrees) terms: starts and degrees may repeat, degrees may

@@ -489,9 +489,10 @@ def test_the_euler_path_packs_at_the_bound(monkeypatch):
 
 
 def _forward(skip_class=False, block_offset=0, exterior_shift=0):
-    """``multiply_over_generators`` with one fault: residue class 0 of a
-    prefix-summed polynomial factor skipped, each block added from one degree
-    higher, or an exterior factor shifted by d - 1 (not applied for d = 1)."""
+    """``multiply_over_generators``, the list kernel of the word recounts,
+    with one fault: residue class 0 of a prefix-summed polynomial factor
+    skipped, each block added from one degree higher, or an exterior factor
+    shifted by d - 1 (not applied for d = 1)."""
     def multiply(series, polynomial, exterior):
         c = list(series.coefficients)
         n = len(c) - 1
@@ -517,23 +518,98 @@ FORWARD_MUTANTS = {
 }
 
 
-# p = 2 has no exterior Milnor generator, so the exterior mutant runs at odd
+# p = 2 has no exterior Milnor generator, so the exterior mutants run at odd
 # primes only.
 @pytest.mark.parametrize("mutant,p,n", [
     ("skipped_class", 2, 40), ("skipped_class", 3, 60),
     ("block_offset", 2, 40), ("block_offset", 3, 60),
     ("exterior_shift", 3, 60), ("exterior_shift", 5, 100),
 ])
+def test_the_recounts_fail_under_mutants_of_the_list_kernel(monkeypatch, capsys, mutant, p, n):
+    # Without its fault the copy is the kernel: verify passes through it.
+    # With it a word recount fails, and the tensor identity, which reads no
+    # list kernel, still holds.
+    argv = ["verify", "--prime", str(p), "--max-degree", str(n)]
+    monkeypatch.setattr(dyer_lashof, "multiply_over_generators", _forward())
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(dyer_lashof, "multiply_over_generators", FORWARD_MUTANTS[mutant])
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert failed and failed <= {"basis_series_agreement", "thh_tensor"}, failed
+
+
+def _cleared(skipped_class=False, block_offset=0, exterior_shift=0, sign=-1, narrow=False):
+    """``power_series.cleared_identity``, the forward kernel of the tensor
+    identity, with one fault: the factor of the first polynomial degree
+    skipped; each polynomial factor shifted one slot too far; each exterior
+    factor shifted one slot short; 1 + t^d in place of 1 - t^d (sign=1); or
+    the slots one byte short of the bound."""
+    def cleared(series, quotient, polynomial, exterior):
+        s, q = series.coefficients, quotient.coefficients
+        n = len(s) - 1
+        low_s, low_q = min(s), min(q)
+        bound = (max(max(s), -low_s) << len(polynomial)) + (max(max(q), -low_q) << len(exterior))
+        w = max(1, (bound.bit_length() + (min(low_s, low_q) < 0) + 7) // 8) - narrow
+        x = power_series._pack_signed(s, w) if low_s < 0 else power_series._pack(s, w)
+        y = power_series._pack_signed(q, w) if low_q < 0 else power_series._pack(q, w)
+        full = (1 << 8 * w * (n + 1)) - 1
+        for d in polynomial[skipped_class:]:
+            if d <= n:
+                x += sign * ((x << 8 * w * (d + block_offset)) & full)
+        for e in exterior:
+            if e <= n:
+                y += (y << 8 * w * (e - exterior_shift)) & full
+        return not (x - y) & full
+    return cleared
+
+
+CLEARED_MUTANTS = {
+    "skipped_class": _cleared(skipped_class=True),
+    "block_offset": _cleared(block_offset=1),
+    "exterior_shift": _cleared(exterior_shift=1),
+    "sign_flipped": _cleared(sign=1),
+}
+
+
+@pytest.mark.parametrize("mutant,p,n", [
+    ("skipped_class", 2, 40), ("skipped_class", 3, 60),
+    ("block_offset", 2, 40), ("block_offset", 3, 60),
+    ("exterior_shift", 3, 60), ("exterior_shift", 5, 100),
+    ("sign_flipped", 2, 40), ("sign_flipped", 3, 60), ("sign_flipped", 5, 100),
+])
 def test_tensor_identity_fails_under_mutants_of_the_forward_kernel(
     monkeypatch, capsys, mutant, p, n
 ):
     # Without its fault the copy is the kernel, on the inputs verify gives it.
-    quo = versal.homotopy_report(p, n).homotopy_series
     milnor = milnor_degrees(p, n)
-    assert _forward()(quo, *milnor) == multiply_over_generators(quo, *milnor)
-    monkeypatch.setattr(versal, "multiply_over_generators", FORWARD_MUTANTS[mutant])
+    hom, quo = homology_series(p, n, over=milnor)
+    assert _cleared()(hom, quo, *milnor) and power_series.cleared_identity(hom, quo, *milnor)
+    monkeypatch.setattr(versal, "cleared_identity", CLEARED_MUTANTS[mutant])
     assert cli.main(["verify", "--prime", str(p), "--max-degree", str(n)]) == 2
     assert "FAIL  tensor_identity" in capsys.readouterr().out
+
+
+# The series times (1 - t^2)(1 - t^3) is c, 0, -c, -c, 0, 2c, 0 with
+# c = 3X/8, X = 2^(8v), and the wrong quotient differs from that by
+# X t^5 - t^6, which is 0 in slots of v bytes: one carry.  Every
+# coefficient of the pair packs in v bytes, signed or not, but the bound
+# 4c + c needs v + 1, and only slots too narrow accept the pair.  At v = 8
+# the bound's 9-byte slots take the int.to_bytes pack.
+@pytest.mark.parametrize("v", [1, 8])
+def test_a_slot_one_byte_short_accepts_a_pair_one_carry_apart(v):
+    x, c = 1 << 8 * v, 3 << 8 * v - 3
+    polynomial, exterior = [2, 3], []
+    series = TruncatedSeries(6, (c, 0, 0, 0, 0, c, 0))
+    quotient = TruncatedSeries(6, (c, 0, -c, -c, 0, 2 * c, 0))
+    wrong = TruncatedSeries(6, (c, 0, -c, -c, 0, 2 * c - x, 1))
+    assert multiply_over_generators(quotient, polynomial, exterior) == series
+    assert multiply_over_generators(wrong, polynomial, exterior) != series
+    for check in (power_series.cleared_identity, _cleared()):
+        assert check(series, quotient, polynomial, exterior)
+        assert not check(series, wrong, polynomial, exterior)
+    assert _cleared(narrow=True)(series, wrong, polynomial, exterior)
 
 
 # The series come from degree counts and degree lists, and the basis and

@@ -1,5 +1,5 @@
 """The battery's recount: the series from the words themselves, one generator
-per word through the forward kernel, against the closed-form counts and the
+per word through the forward list kernel, against the closed-form counts and the
 fold, and the faults on either side that ``verify`` must catch with it."""
 
 import pytest
