@@ -172,13 +172,16 @@ def _listing(rows: Sequence[tuple], n: int, unit, power, joiner) -> list[list]:
     tuples (g a ``Generator``) both fit.  ``power`` and the join with
     ``joiner`` run once per (generator, exponent), never per monomial.
 
-    The fold of series_of over lists, from the highest generator down: after
-    folding the rows from position i on, buckets[t] holds their products of
-    degree t.  Prepending the next generator, highest exponent first, keeps
-    each bucket in descending lexicographic order of exponent vectors.  Every
-    nonempty bucket is degree 0 or at least ``low``, the lowest degree folded
-    so far, so below d + low a generator of degree d adds only its pure
-    powers, one insert each; a generator above n adds nothing.
+    The fold of ``product_over_generators`` over lists, from the highest
+    generator down: after folding the rows from position i on, buckets[t]
+    holds their products of degree t in reverse listing order, ascending
+    lexicographic order of exponent vectors.  So the next generator only
+    appends to each bucket: its blocks g^e · rest in ascending e, each one
+    comprehension over the rest bucket as it stands, then the pure power,
+    the largest vector.  Every nonempty bucket is degree 0 or at least
+    ``low``, the lowest degree folded so far, so below d + low a generator
+    of degree d appends only its pure powers; a generator above n adds
+    nothing.  Each bucket is reversed once at the end.
     """
     if n < 0:
         raise ValueError(f"truncation degree must be >= 0, got {n}")
@@ -191,24 +194,26 @@ def _listing(rows: Sequence[tuple], n: int, unit, power, joiner) -> list[list]:
         top = 1 if exterior else n // d
         # One element per exponent, shared by every monomial that has it.
         powers = [power(g, e) for e in range(1, top + 1)]
-        prepends = [(x + joiner).__add__ for x in powers]
-        for t in range(n, d + low - 1, -1):
-            # t <= n, so t // d never exceeds top for a polynomial generator.
-            hi = 1 if exterior else t // d
-            new: list = []
-            if hi * d == t:
-                # The pure power g^hi comes first.
-                new.append(powers[hi - 1])
-                hi -= 1
-            for e in range(hi, 0, -1):
-                rest = buckets[t - e * d]
-                if rest:
-                    new += map(prepends[e - 1], rest)
-            if new:
-                buckets[t] = new + buckets[t]
+        if d + low <= n:
+            heads = [x + joiner for x in powers]
+            # From the top down, so each rest bucket t - e·d is still the old one.
+            for t in range(n, d + low - 1, -1):
+                # t <= n, so t // d never exceeds top for a polynomial generator.
+                hi = 1 if exterior else t // d
+                pure = hi * d == t
+                bucket = buckets[t]
+                for e in range(1, hi + 1 - pure):
+                    rest = buckets[t - e * d]
+                    if rest:
+                        head = heads[e - 1]
+                        bucket += [head + r for r in rest]
+                if pure:
+                    bucket.append(powers[hi - 1])
         for e in range(1, min(top, (d + low - 1) // d) + 1):
-            buckets[e * d].insert(0, powers[e - 1])
+            buckets[e * d].append(powers[e - 1])
         low = d
+    for bucket in buckets:
+        bucket.reverse()
     return buckets
 
 
@@ -234,12 +239,14 @@ def joined_names(
     one for the monomials without g, whose names are head + r for r in rests:
     head is g^e with the joiner, or g^e alone over the rest [""], or "" over
     the names without g.  So a run joins as ``head + (sep + head).join(rests)``,
-    the counts are the lengths of the rests, and only ``join`` builds text.
+    each degree's count is the sum of its runs' rest lengths, added as the
+    runs are appended, and only ``join`` builds text.
     """
     n = truncation_degree
     unit, joiner = encode("1"), encode("·")
     buckets = _listing(rows[1:], n, unit, lambda label, e: encode(_piece(label, e)), joiner)
     runs: list[list[tuple[str, list[str]]]] = [[] for _ in range(n + 1)]
+    counts = [0] * (n + 1)
     filled = [s for s in range(1, n + 1) if buckets[s]]
     for d, label, kind in rows[:1]:  # the lowest generator, if there is one
         top = min(1, n // d) if kind == EXTERIOR else n // d
@@ -247,13 +254,18 @@ def joined_names(
         for e in range(top, 0, -1):
             power = encode(_piece(label, e))
             runs[e * d].append((power, [""]))
+            counts[e * d] += 1
             head = power + joiner
             for s in filled:
                 if s > n - e * d:
                     break
-                runs[s + e * d].append((head, buckets[s]))
+                rests = buckets[s]
+                runs[s + e * d].append((head, rests))
+                counts[s + e * d] += len(rests)
     for t in (0, *filled):
-        runs[t].append(("", buckets[t]))
+        rests = buckets[t]
+        runs[t].append(("", rests))
+        counts[t] += len(rests)
 
     def join(sep: Callable[[int], str]) -> Iterator[list[str]]:
         for t, row in enumerate(runs):
@@ -263,7 +275,7 @@ def joined_names(
                 pieces += (between if pieces else head, between.join(rests))
             yield pieces
 
-    return [sum(len(rests) for _, rests in row) for row in runs], join
+    return counts, join
 
 
 def enumerate_monomials(gens: GeneratorSet, truncation_degree: int) -> MonomialBasis:

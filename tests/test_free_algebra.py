@@ -3,9 +3,10 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from versalp import free_algebra
-from versalp.dyer_lashof import enumerate_generators
+from versalp import cli, free_algebra
+from versalp.dyer_lashof import enumerate_generators, generator_rows
 from versalp.free_algebra import (
+    EXTERIOR,
     Generator,
     _listing,
     GeneratorSet,
@@ -211,7 +212,7 @@ def listing_rows(draw):
 def test_pruned_listing_equals_brute_force_listing(case):
     # _listing visits a generator of degree d at degrees d + low..N only,
     # low the lowest degree folded so far, and puts its pure powers below
-    # that in one insert each; a generator above N adds nothing.
+    # that in one append each; a generator above N adds nothing.
     rows, n = case
     listing = _listing(rows, n, (), lambda label, e: ((label, e),), ())
     vectors = [[tuple(dict(m).get(label, 0) for _, label, _ in rows) for m in bucket]
@@ -314,3 +315,139 @@ def test_joined_names_join_the_listed_names(case, sep, encode):
     ]
     # A degree without names is an empty list of pieces.
     assert [bool(pieces) for pieces in degrees] == [bool(bucket) for bucket in names]
+
+
+def _listing_copy(forward=False, power_first=False, unreversed=False, low_powers=True):
+    """``free_algebra._listing`` with one fault: each block built over its
+    rest bucket in forward order (``forward``), each pure power appended
+    before its block (``power_first``), the final reverse skipped
+    (``unreversed``), or the pure powers below d + low dropped (``low_powers``
+    false)."""
+    def listing(rows, n, unit, power, joiner):
+        buckets = [[unit]] + [[] for _ in range(n)]
+        low = n + 1
+        for d, g, kind in reversed(rows):
+            if d > n:
+                continue
+            exterior = kind == EXTERIOR
+            top = 1 if exterior else n // d
+            powers = [power(g, e) for e in range(1, top + 1)]
+            if d + low <= n:
+                heads = [x + joiner for x in powers]
+                for t in range(n, d + low - 1, -1):
+                    hi = 1 if exterior else t // d
+                    pure = hi * d == t
+                    bucket = buckets[t]
+                    if pure and power_first:
+                        bucket.append(powers[hi - 1])
+                    for e in range(1, hi + 1 - pure):
+                        rest = buckets[t - e * d]
+                        bucket += [heads[e - 1] + r for r in (rest[::-1] if forward else rest)]
+                    if pure and not power_first:
+                        bucket.append(powers[hi - 1])
+            for e in range(1, min(top, (d + low - 1) // d) + 1) if low_powers else ():
+                buckets[e * d].append(powers[e - 1])
+            low = d
+        for bucket in () if unreversed else buckets:
+            bucket.reverse()
+        return buckets
+    return listing
+
+
+def _joined_copy(wrong_bucket=False):
+    """``free_algebra.joined_names`` with one fault (``wrong_bucket``): a run
+    of the lowest generator over the rests of degree s, put in degree
+    s + e·d, counted by the length of the bucket of degree s + e·d."""
+    def joined(rows, truncation_degree, encode=str):
+        n = truncation_degree
+        unit, joiner = encode("1"), encode("·")
+        piece = free_algebra._piece
+        buckets = free_algebra._listing(rows[1:], n, unit, lambda g, e: encode(piece(g, e)), joiner)
+        runs = [[] for _ in range(n + 1)]
+        counts = [0] * (n + 1)
+        filled = [s for s in range(1, n + 1) if buckets[s]]
+        for d, label, kind in rows[:1]:
+            top = min(1, n // d) if kind == EXTERIOR else n // d
+            for e in range(top, 0, -1):
+                power = encode(piece(label, e))
+                runs[e * d].append((power, [""]))
+                counts[e * d] += 1
+                head = power + joiner
+                for s in filled:
+                    if s > n - e * d:
+                        break
+                    runs[s + e * d].append((head, buckets[s]))
+                    counts[s + e * d] += len(buckets[s + e * d if wrong_bucket else s])
+        for t in (0, *filled):
+            runs[t].append(("", buckets[t]))
+            counts[t] += len(buckets[t])
+
+        def join(sep):
+            for t, row in enumerate(runs):
+                s, pieces = sep(t), []
+                for head, rests in row:
+                    between = s + head
+                    pieces += (between if pieces else head, between.join(rests))
+                yield pieces
+
+        return counts, join
+    return joined
+
+
+def _listed_in_brute_force_order(p, n, capsys):
+    rows = generator_rows(p, 1, n)
+    listing = free_algebra._listing(rows, n, (), lambda label, e: ((label, e),), ())
+    vectors = [[tuple(dict(m).get(label, 0) for _, label, _ in rows) for m in bucket]
+               for bucket in listing]
+    assert vectors == brute_monomials([(d, kind) for d, _, kind in rows], n), "listing order"
+
+
+def _basis_passes_its_count_check(p, n, capsys):
+    code = cli.main(["basis", "--prime", str(p), "--max-degree", str(n), "--format", "csv"])
+    err = capsys.readouterr().err
+    assert code == 0 and not err, (code, err)
+
+
+# (module, name, fault-free copy, mutant, killer, what the killer's failure
+# shows).  The order mutants keep every count, so the CLI's count check cannot
+# see them and only the brute-force listing does; the other two change a
+# count, and basis exits 2 before it writes a byte.
+LISTING_MUTANTS = {
+    "block_forward": (free_algebra, "_listing", _listing_copy(), _listing_copy(forward=True),
+                      _listed_in_brute_force_order, "listing order"),
+    "power_before_block": (free_algebra, "_listing", _listing_copy(),
+                           _listing_copy(power_first=True), _listed_in_brute_force_order,
+                           "listing order"),
+    "unreversed": (free_algebra, "_listing", _listing_copy(), _listing_copy(unreversed=True),
+                   _listed_in_brute_force_order, "listing order"),
+    "low_powers_dropped": (free_algebra, "_listing", _listing_copy(),
+                           _listing_copy(low_powers=False), _basis_passes_its_count_check,
+                           "the series says"),
+    "count_wrong_bucket": (cli, "joined_names", _joined_copy(), _joined_copy(wrong_bucket=True),
+                           _basis_passes_its_count_check, "the series says"),
+}
+
+
+# The lowest generator is polynomial at p = 2 and exterior at p = 3; the
+# degrees keep the brute-force listing to a few thousand vectors.
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 16)])
+@pytest.mark.parametrize("mutant", LISTING_MUTANTS)
+def test_the_listing_mutants_are_killed(monkeypatch, capsys, mutant, p, n):
+    owner, name, copy, replacement, killer, shown = LISTING_MUTANTS[mutant]
+    # Without its fault the copy is the code: the killer passes through it.
+    monkeypatch.setattr(owner, name, copy)
+    killer(p, n, capsys)
+    monkeypatch.setattr(owner, name, replacement)
+    with pytest.raises(AssertionError, match=shown):
+        killer(p, n, capsys)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 16), (2, 27), (3, 58)])
+def test_the_fault_free_copies_list_what_the_code_lists(p, n):
+    rows = generator_rows(p, 1, n)
+    for unit, power, joiner in (("1", free_algebra._piece, "·"), ((), lambda g, e: ((g, e),), ())):
+        assert _listing_copy()(rows, n, unit, power, joiner) == _listing(rows, n, unit, power, joiner)
+    counts, join = joined_names(rows, n)
+    copy_counts, copy_join = _joined_copy()(rows, n)
+    assert copy_counts == counts
+    assert list(copy_join(lambda d: f"\n{d},")) == list(join(lambda d: f"\n{d},"))
